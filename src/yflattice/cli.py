@@ -8,16 +8,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Sequence
 
-from concurrent.futures import ThreadPoolExecutor
-
-from .core import enumerate_rank, word_text
+from .core import ROW_MAX_RANK, check_rank, enumerate_rank, word_text
 from .fstat import f_product, f_recursive
 from .macdonald import MacdonaldNode, build_tree, f_valued_row, is_odd_word
 from .primes import coprime_count, is_coprime_direct, is_coprime_structural, residue_distribution_mod_p
 from .residues import (
-    ENUMERATION_MAX_RANK,
     is_equidistributed,
     pi_multiset,
     residue_histogram_dp,
@@ -72,17 +69,10 @@ def _records_text(records: list[dict[str, Any]], fmt: str, ok: bool | None = Non
     return _table(records)
 
 
-def _map_rows(fn: Callable[[Any], dict[str, Any]], items: Iterable[Any], threads: int) -> list[dict[str, Any]]:
-    items = list(items)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.filter == "coprime" and args.prime is None:
         args.parser.error("--filter coprime requires --prime/-p")
+    check_rank(args.rank, ROW_MAX_RANK)
     words = enumerate_rank(args.rank)
     if args.filter == "odd":
         words = [w for w in words if is_odd_word(w)]
@@ -111,8 +101,6 @@ def _tree_json(node: MacdonaldNode) -> dict[str, Any]:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
-    if args.max_rank > ENUMERATION_MAX_RANK:
-        raise ValueError(f"max rank {args.max_rank} exceeds the enumeration guard of {ENUMERATION_MAX_RANK}")
     tree = build_tree(args.max_rank)
     if args.format == "json":
         _emit(json.dumps({"max_rank": tree.max_rank, "root": _tree_json(tree.root)}, indent=2), args.out)
@@ -168,14 +156,13 @@ def _suite_pi_row(args: argparse.Namespace) -> list[dict[str, Any]]:
             "ok": match and size == 1 << (n // 2),
         }
 
-    return _map_rows(check, range(args.max_n + 1), args.threads)
+    return [check(n) for n in range(args.max_n + 1)]
 
 
 def _suite_coprime(args: argparse.Namespace) -> list[dict[str, Any]]:
     primes = args.prime or [2, 3, 5, 7]
 
-    def check(pn: tuple[int, int]) -> dict[str, Any]:
-        p, n = pn
+    def check(p: int, n: int) -> dict[str, Any]:
         enum = coprime_count(p, n, method="enum").count
         closed = coprime_count(p, n, method="closed").count
         predicates = all(
@@ -192,17 +179,18 @@ def _suite_coprime(args: argparse.Namespace) -> list[dict[str, Any]]:
             "ok": enum == closed and predicates,
         }
 
-    pairs = [(p, n) for p in primes for n in range(args.max_n + 1)]
-    return _map_rows(check, pairs, args.threads)
+    return [check(p, n) for p in primes for n in range(args.max_n + 1)]
 
 
 def _suite_oracle(args: argparse.Namespace) -> list[dict[str, Any]]:
+    check_rank(args.max_rank, ROW_MAX_RANK)
+
     def check(n: int) -> dict[str, Any]:
         row = enumerate_rank(n)
         agree = all(f_product(w) == f_recursive(w) for w in row)
         return {"check": "oracle", "n": n, "words": len(row), "ok": agree}
 
-    return _map_rows(check, range(args.max_rank + 1), args.threads)
+    return [check(n) for n in range(args.max_rank + 1)]
 
 
 _SUITES = {
@@ -297,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-rank", type=int, default=12, help="rank bound (suite oracle)")
     p_verify.add_argument("-p", "--prime", type=int, action="append", help="prime for suite coprime, repeatable")
     p_verify.add_argument("--strict-pi", action="store_true", help="literal odd-factors-up-to-n reading (nonconforming)")
-    p_verify.add_argument("--threads", type=int, default=1, help="parallelize independent row checks")
     p_verify.add_argument("--format", choices=("table", "csv", "json", "jsonl"), default="table")
     p_verify.add_argument("--out", help="write output to this path instead of stdout")
     p_verify.set_defaults(cmd=cmd_verify, parser=p_verify)

@@ -15,6 +15,19 @@ EMPTY_WORD: Word = ()
 # genuinely empty string is awkward.  JSON output uses "" instead.
 EMPTY_TOKEN = "e"
 
+# Rank guards, kept apart because they bound different work: 2^(n//2) subset
+# products over a row of odd words, F(n+1) materialized words in a whole row.
+SUBSET_MAX_RANK = 40
+ROW_MAX_RANK = 24
+
+
+def check_rank(n: int, limit: int | None = None) -> None:
+    """Refuse a negative rank, and a rank above `limit` when one is given."""
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    if limit is not None and n > limit:
+        raise ValueError(f"rank {n} exceeds the enumeration guard of {limit}")
+
 
 def parse_word(text: str) -> Word:
     """Parse a digit string such as "211" into a word.
@@ -81,8 +94,7 @@ def enumerate_rank(n: int) -> list[Word]:
     Row sizes obey the Fibonacci recurrence |F(n)| = |F(n-1)| + |F(n-2)|
     with |F(0)| = |F(1)| = 1.
     """
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
+    check_rank(n)
     rows: list[list[Word]] = [[EMPTY_WORD], [(1,)]]
     for m in range(2, n + 1):
         # 1-prefixed extensions of row m-1 sort before 2-prefixed ones of

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import Word, rank, word_text
+from .core import SUBSET_MAX_RANK, Word, check_rank, rank, word_text
 
 TWO: Word = (2,)
 ONE_ONE: Word = (1, 1)
@@ -145,17 +145,17 @@ def build_tree(max_rank: int) -> MacdonaldTree:
     """Materialize the Macdonald tree of odd words up to the given rank.
 
     Breadth-first from the empty word; row n holds 2^(n//2) nodes, each
-    carrying its chain count.
+    carrying its chain count.  A child's count comes from its parent's: the
+    same for 1w and 11v, times the parent's rank for 2v.
     """
-    if max_rank < 0:
-        raise ValueError("max_rank must be nonnegative")
+    check_rank(max_rank, SUBSET_MAX_RANK)
     root = MacdonaldNode((), 1)
     frontier = [root]
-    for _ in range(max_rank):
+    for r in range(max_rank):
         grown: list[MacdonaldNode] = []
         for node in frontier:
             for cw in macdonald_children(node.word):
-                child = MacdonaldNode(cw, f_odd_product(block_decompose(cw)))
+                child = MacdonaldNode(cw, node.f * r if cw[0] == 2 else node.f)
                 node.children.append(child)
                 grown.append(child)
         frontier = grown
@@ -164,8 +164,7 @@ def build_tree(max_rank: int) -> MacdonaldTree:
 
 def odd_row_words(n: int) -> list[Word]:
     """All odd words of rank n (there are 2^(n//2)), in lexicographic order."""
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
+    check_rank(n)
     words: list[Word] = [(1,) if n % 2 else ()]
     for _ in range(n // 2):
         # appending 11 before 2 preserves lexicographic order
@@ -176,16 +175,18 @@ def odd_row_words(n: int) -> list[Word]:
 def f_valued_row(n: int) -> Counter[int]:
     """Multiset of chain counts over the odd words of rank n.
 
-    Enumerates the 2^(n//2) block-tag masks directly; the value depends
-    only on which indices carry a 2-block, so rows 2m and 2m+1 agree.
+    Folds in the tree's branching rule, one distinct value per key: at each
+    odd rank r < n every label is kept (11v) and label * r is added (2v).
+    Even ranks add nothing, so rows 2m and 2m+1 agree.
     """
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    prods = [1]
-    for i in range(n // 2):
-        c = 2 * i + 1
-        prods += [p * c for p in prods]
-    return Counter(prods)
+    check_rank(n)
+    row = Counter({1: 1})
+    for r in range(1, n, 2):
+        grown = Counter(row)
+        for f, count in row.items():
+            grown[f * r] += count
+        row = grown
+    return row
 
 
 def verify_subtree_self_similarity(tree: MacdonaldTree, w: Word) -> bool:

@@ -2,28 +2,31 @@
 
 A word's chain count is coprime to p exactly when the word splits into a
 prefix of rank n mod p followed by segments of rank exactly p, with every
-segment boundary falling between digits.  The count C_p(n) of such words
-is determined by the counts at ranks 0..p.
+segment boundary falling between digits.  Every word of rank at most p
+qualifies, since its product factors all lie in 1..p-1, so the count C_p(n)
+of such words is a product of row sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .core import Word, enumerate_rank, rank
+from .core import ROW_MAX_RANK, Word, check_rank, enumerate_rank, rank
 from .fstat import f_mod
 
-ENUMERATION_MAX_RANK = 24
-
-# deterministic Miller-Rabin witness set, sound far beyond 2^64
+# Miller-Rabin with these witnesses is deterministic below _WITNESS_BOUND =
+# 399165290221 * 798330580441, the smallest strong pseudoprime to all twelve
+# of them (Sorenson & Webster, 2015).
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_WITNESS_BOUND = 318665857834031151167461
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic primality test for the moduli used here."""
+    """Deterministic primality test; refuses p at or above _WITNESS_BOUND."""
     if p < 2:
         return False
+    if p >= _WITNESS_BOUND:
+        raise ValueError(f"{p} is at or above {_WITNESS_BOUND}, the bound of the deterministic primality test")
     for q in _WITNESSES:
         if p % q == 0:
             return p == q
@@ -46,13 +49,6 @@ def is_prime(p: int) -> bool:
 def _check_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-
-
-def _check_rank_guard(n: int) -> None:
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    if n > ENUMERATION_MAX_RANK:
-        raise ValueError(f"rank {n} exceeds the enumeration guard of {ENUMERATION_MAX_RANK}")
 
 
 def is_coprime_direct(w: Word, p: int) -> bool:
@@ -86,31 +82,30 @@ class CoprimeCount:
     count: int
 
 
-@lru_cache(maxsize=None)
-def _base_counts(p: int) -> tuple[int, ...]:
-    """Counts of coprime-to-p words at ranks 0..p, by enumeration."""
-    return tuple(
-        sum(1 for w in enumerate_rank(n) if f_mod(w, p) != 0) for n in range(p + 1)
-    )
+def _row_size(n: int) -> int:
+    """Number of words of rank n: 1, 1, 2, 3, 5, ... (Fibonacci)."""
+    a, b = 1, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def coprime_count(p: int, n: int, method: str = "closed") -> CoprimeCount:
     """Number of rank-n words whose chain count is coprime to p.
 
-    method="closed" evaluates base^m * base[r] with n = p*m + r from the
-    enumerated counts at ranks 0..p, and works at any rank; method="enum"
-    counts words one by one under the rank guard.
+    method="closed" evaluates |row p|^m * |row r| with n = p*m + r, from
+    the row sizes alone, and works at any rank; method="enum" counts words
+    one by one under the whole-row guard.
     """
     _check_prime(p)
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
     if method == "enum":
-        _check_rank_guard(n)
+        check_rank(n, ROW_MAX_RANK)
         count = sum(1 for w in enumerate_rank(n) if f_mod(w, p) != 0)
     elif method == "closed":
-        base = _base_counts(p)
+        check_rank(n)
         m, r = divmod(n, p)
-        count = base[p] ** m * base[r]
+        # |row p| only when needed: p may be far beyond any rank asked for
+        count = _row_size(p) ** m * _row_size(r) if m else _row_size(r)
     else:
         raise ValueError(f"method must be 'closed' or 'enum', got {method!r}")
     return CoprimeCount(p, n, count)
@@ -118,7 +113,7 @@ def coprime_count(p: int, n: int, method: str = "closed") -> CoprimeCount:
 
 def coprime_table(p: int, max_n: int) -> list[tuple[int, int, int, bool]]:
     """Rows (n, enumerated count, closed-form count, agree) for n <= max_n."""
-    _check_rank_guard(max_n)
+    check_rank(max_n, ROW_MAX_RANK)
     table = []
     for n in range(max_n + 1):
         enum = coprime_count(p, n, method="enum").count
@@ -136,7 +131,7 @@ def residue_distribution_mod_p(n: int, p: int) -> dict[int, int]:
     _check_prime(p)
     if p == 2:
         raise ValueError("p must be an odd prime; modulus 2 is covered by the power-of-two histograms")
-    _check_rank_guard(n)
+    check_rank(n, ROW_MAX_RANK)
     counts = dict.fromkeys(range(1, p), 0)
     for w in enumerate_rank(n):
         r = f_mod(w, p)

@@ -10,16 +10,26 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
-# 2^(n//2) subset products; 2^20 is still comfortable, beyond that is not
-ENUMERATION_MAX_RANK = 40
+from .core import SUBSET_MAX_RANK, check_rank
 
 
 def _row_factors(n: int) -> range:
     """The odd factors available in row n: 1, 3, ..., 2*(n//2) - 1."""
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
     return range(1, 2 * (n // 2), 2)
+
+
+def _subset_products(factors: Iterable[int], m: int | None = None) -> list[int]:
+    """The product of every subset of factors, empty product included.
+
+    Doubles the list once per factor.  With a modulus m every product is
+    reduced as it is formed, so the integers stay small.
+    """
+    prods = [1]
+    for c in factors:
+        prods += [p * c % m for p in prods] if m else [p * c for p in prods]
+    return prods
 
 
 def _check_modulus_pow(k: int) -> None:
@@ -42,13 +52,9 @@ def residue_histogram_enum(n: int, k: int) -> ResidueHistogram:
     goes; the slow reference path for residue_histogram_dp.
     """
     _check_modulus_pow(k)
-    if n > ENUMERATION_MAX_RANK:
-        raise ValueError(f"rank {n} exceeds the enumeration guard of {ENUMERATION_MAX_RANK}")
+    check_rank(n, SUBSET_MAX_RANK)
     m = 1 << k
-    prods = [1]
-    for c in _row_factors(n):
-        prods += [p * c % m for p in prods]
-    tally = Counter(prods)
+    tally = Counter(_subset_products(_row_factors(n), m))
     return ResidueHistogram(m, {r: tally.get(r, 0) for r in range(1, m, 2)})
 
 
@@ -59,6 +65,7 @@ def residue_histogram_dp(n: int, k: int) -> ResidueHistogram:
     the cost is (n//2) * 2^(k-1) instead of 2^(n//2).
     """
     _check_modulus_pow(k)
+    check_rank(n)
     m = 1 << k
     half = m >> 1
     h = [0] * half
@@ -189,12 +196,5 @@ def pi_multiset(n: int, strict: bool = False) -> Counter[int]:
     kept only for comparison: at odd n it has one factor too many and the
     row identity breaks.
     """
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    if n > ENUMERATION_MAX_RANK:
-        raise ValueError(f"rank {n} exceeds the enumeration guard of {ENUMERATION_MAX_RANK}")
-    factors = range(1, n + 1, 2) if strict else _row_factors(n)
-    prods = [1]
-    for c in factors:
-        prods += [p * c for p in prods]
-    return Counter(prods)
+    check_rank(n, SUBSET_MAX_RANK)
+    return Counter(_subset_products(range(1, n + 1, 2) if strict else _row_factors(n)))

@@ -140,10 +140,11 @@ def test_verify_oracle(capsys):
     assert "10/10 checks passed" in out
 
 
-def test_verify_threads_do_not_change_output(capsys):
-    _, single, _ = run(capsys, "verify", "coprime", "--max-n", "8", "--format", "jsonl")
-    _, multi, _ = run(capsys, "verify", "coprime", "--max-n", "8", "--format", "jsonl", "--threads", "4")
-    assert single == multi
+def test_whole_row_guards(capsys):
+    code, out, err = run(capsys, "enumerate", "-n", "25")
+    assert code == 1 and out == "" and "guard of 24" in err
+    code, out, err = run(capsys, "verify", "oracle", "--max-rank", "25")
+    assert code == 1 and out == "" and "guard of 24" in err
 
 
 def test_residues_table_and_assert(capsys):

@@ -153,6 +153,12 @@ def test_build_tree_edges_are_lattice_edges():
                 assert child.word in covers_up(node.word)
 
 
+def test_build_tree_labels_are_chain_counts():
+    for row in build_tree(16).rows():
+        for node in row:
+            assert node.f == f_product(node.word) == f_odd_product(block_decompose(node.word))
+
+
 def test_build_tree_trivial_and_negative():
     tree = build_tree(0)
     assert tree.root.word == ()
@@ -160,6 +166,8 @@ def test_build_tree_trivial_and_negative():
     assert tree.root.children == []
     with pytest.raises(ValueError):
         build_tree(-1)
+    with pytest.raises(ValueError, match="guard of 40"):
+        build_tree(41)
 
 
 def test_find():

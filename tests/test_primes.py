@@ -29,6 +29,12 @@ def test_is_prime_large():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
 
 
+def test_is_prime_refuses_past_witness_bound():
+    # 399165290221 * 798330580441, a strong pseudoprime to every witness
+    with pytest.raises(ValueError, match="318665857834031151167461"):
+        is_prime(318665857834031151167461)
+
+
 def test_is_coprime_direct_known():
     assert not is_coprime_direct((2, 2), 3)
     assert is_coprime_direct((2, 1), 3)
@@ -74,6 +80,19 @@ def test_coprime_count_closed_form_reaches_far():
 def test_coprime_count_at_two_counts_odd_words():
     for n in range(15):
         assert coprime_count(2, n, method="enum").count == 1 << (n // 2)
+
+
+def test_coprime_count_closed_needs_no_enumeration(monkeypatch):
+    expected = {(p, n): coprime_count(p, n, method="enum").count for p in (2, 3, 5, 7, 11) for n in range(15)}
+
+    def refuse(n):
+        raise AssertionError("closed route enumerated a row")
+
+    monkeypatch.setattr("yflattice.primes.enumerate_rank", refuse)
+    for (p, n), count in expected.items():
+        assert coprime_count(p, n).count == count
+    # |row 29| = F(30) = 832040, |row 2| = 2
+    assert coprime_count(29, 60).count == 832040**2 * 2
 
 
 def test_coprime_count_guards():
