@@ -13,7 +13,7 @@ from typing import Any, Sequence
 from .core import ROW_MAX_RANK, check_rank, enumerate_rank, word_text
 from .fstat import f_product, f_recursive
 from .macdonald import MacdonaldNode, build_tree, f_valued_row, is_odd_word
-from .primes import coprime_count, is_coprime_direct, is_coprime_structural, residue_distribution_mod_p
+from .primes import coprime_table, is_coprime_direct, is_coprime_structural, residue_distribution_mod_p
 from .residues import (
     is_equidistributed,
     pi_multiset,
@@ -162,9 +162,7 @@ def _suite_pi_row(args: argparse.Namespace) -> list[dict[str, Any]]:
 def _suite_coprime(args: argparse.Namespace) -> list[dict[str, Any]]:
     primes = args.prime or [2, 3, 5, 7]
 
-    def check(p: int, n: int) -> dict[str, Any]:
-        enum = coprime_count(p, n, method="enum").count
-        closed = coprime_count(p, n, method="closed").count
+    def check(p: int, n: int, enum: int, closed: int, agree: bool) -> dict[str, Any]:
         predicates = all(
             is_coprime_structural(w, p) == is_coprime_direct(w, p) for w in enumerate_rank(n)
         )
@@ -174,23 +172,23 @@ def _suite_coprime(args: argparse.Namespace) -> list[dict[str, Any]]:
             "n": n,
             "count": enum,
             "closed_form_count": closed,
-            "agree": enum == closed,
+            "agree": agree,
             "predicates_agree": predicates,
-            "ok": enum == closed and predicates,
+            "ok": agree and predicates,
         }
 
-    return [check(p, n) for p in primes for n in range(args.max_n + 1)]
+    return [check(p, *row) for p in primes for row in coprime_table(p, args.max_n)]
 
 
 def _suite_oracle(args: argparse.Namespace) -> list[dict[str, Any]]:
-    check_rank(args.max_rank, ROW_MAX_RANK)
+    check_rank(args.max_n, ROW_MAX_RANK)
 
     def check(n: int) -> dict[str, Any]:
         row = enumerate_rank(n)
         agree = all(f_product(w) == f_recursive(w) for w in row)
         return {"check": "oracle", "n": n, "words": len(row), "ok": agree}
 
-    return [check(n) for n in range(args.max_rank + 1)]
+    return [check(n) for n in range(args.max_n + 1)]
 
 
 _SUITES = {
@@ -281,8 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=tuple(_SUITES))
     p_verify.add_argument("-k", "--modulus-pow", type=int, help="modulus exponent for main/one-step")
     p_verify.add_argument("--n-extra", type=int, default=2, help="rows past the threshold (suite main)")
-    p_verify.add_argument("--max-n", type=int, default=None, help="row bound (one-step, pi-row, coprime)")
-    p_verify.add_argument("--max-rank", type=int, default=12, help="rank bound (suite oracle)")
+    p_verify.add_argument("--max-n", "--max-rank", type=int, default=None, help="row bound (one-step, pi-row, coprime, oracle)")
     p_verify.add_argument("-p", "--prime", type=int, action="append", help="prime for suite coprime, repeatable")
     p_verify.add_argument("--strict-pi", action="store_true", help="literal odd-factors-up-to-n reading (nonconforming)")
     p_verify.add_argument("--format", choices=("table", "csv", "json", "jsonl"), default="table")
@@ -303,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MAX_N_DEFAULTS = {"one-step": 12, "pi-row": 16, "coprime": 18}
+_MAX_N_DEFAULTS = {"one-step": 12, "pi-row": 16, "coprime": 18, "oracle": 12}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

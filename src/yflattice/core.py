@@ -95,9 +95,10 @@ def enumerate_rank(n: int) -> list[Word]:
     with |F(0)| = |F(1)| = 1.
     """
     check_rank(n)
-    rows: list[list[Word]] = [[EMPTY_WORD], [(1,)]]
-    for m in range(2, n + 1):
-        # 1-prefixed extensions of row m-1 sort before 2-prefixed ones of
-        # row m-2, so lexicographic order is preserved by construction.
-        rows.append([(1,) + w for w in rows[m - 1]] + [(2,) + w for w in rows[m - 2]])
-    return rows[n]
+    below: list[Word] = []  # row -1 is empty
+    row = [EMPTY_WORD]
+    for _ in range(n):
+        # 1-prefixed extensions of the row sort before 2-prefixed ones of
+        # the row below, so lexicographic order is preserved by construction.
+        below, row = row, [(1,) + w for w in row] + [(2,) + w for w in below]
+    return row

@@ -164,7 +164,7 @@ def build_tree(max_rank: int) -> MacdonaldTree:
 
 def odd_row_words(n: int) -> list[Word]:
     """All odd words of rank n (there are 2^(n//2)), in lexicographic order."""
-    check_rank(n)
+    check_rank(n, SUBSET_MAX_RANK)
     words: list[Word] = [(1,) if n % 2 else ()]
     for _ in range(n // 2):
         # appending 11 before 2 preserves lexicographic order
@@ -192,11 +192,10 @@ def f_valued_row(n: int) -> Counter[int]:
 def verify_subtree_self_similarity(tree: MacdonaldTree, w: Word) -> bool:
     """Check the recursive self-similarity of the tree below w, rank(w) = 2m.
 
-    To the depth the tree affords: w has the single child 1w (same chain
-    count), whose children are 11w and 2w with chain counts f_w and
-    (2m+1) f_w; both grandchild branches replicate the shape of the
-    depth-truncated Macdonald tree under v -> v·11w and v -> v·2w; and
-    every label in the 2w branch is exactly (2m+1) times its mirror in the
+    To the depth the tree affords: w has the single child 1w and 1w's first
+    child is 11w, both with chain count f_w; and 1w's two branches mirror
+    the depth-truncated Macdonald tree, node for node, under v -> v·11w and
+    v -> v·2w, every label in the 2w branch (2m+1) times its mirror in the
     11w branch.  Rejects non-odd or odd-rank roots.
     """
     if not is_odd_word(w):
@@ -204,41 +203,26 @@ def verify_subtree_self_similarity(tree: MacdonaldTree, w: Word) -> bool:
     if rank(w) % 2:
         raise ValueError(f"{word_text(w)} has odd rank; self-similarity roots at even rank")
     node = tree.find(w)
-    m = rank(w) // 2
-    fw = node.f
     if tree.max_rank < rank(w) + 1:
         return True  # nothing below w to compare
     if len(node.children) != 1:
         return False
     child = node.children[0]
-    if child.word != (1,) + w or child.f != fw:
+    if child.word != (1,) + w or child.f != node.f:
         return False
     if tree.max_rank < rank(w) + 2:
         return True
-    if len(child.children) != 2:
+    if len(child.children) != 2 or child.children[0].f != node.f:
         return False
-    left, right = child.children
-    if left.word != ONE_ONE + w or right.word != TWO + w:
-        return False
-    if left.f != fw or right.f != (2 * m + 1) * fw:
-        return False
+    scale = rank(w) + 1
 
-    reference = build_tree(tree.max_rank - rank(w) - 2)
+    def mirrored(ref: MacdonaldNode, left: MacdonaldNode, right: MacdonaldNode) -> bool:
+        return (
+            left.word == ref.word + ONE_ONE + w
+            and right.word == ref.word + TWO + w
+            and right.f == scale * left.f
+            and len(left.children) == len(right.children) == len(ref.children)
+            and all(map(mirrored, ref.children, left.children, right.children))
+        )
 
-    def shape_matches(branch: MacdonaldNode, ref: MacdonaldNode, tag: Word) -> bool:
-        if branch.word != ref.word + tag:
-            return False
-        if len(branch.children) != len(ref.children):
-            return False
-        return all(shape_matches(b, r, tag) for b, r in zip(branch.children, ref.children))
-
-    def scaled_labels(a: MacdonaldNode, b: MacdonaldNode, scale: int) -> bool:
-        if b.f != scale * a.f:
-            return False
-        return all(scaled_labels(x, y, scale) for x, y in zip(a.children, b.children))
-
-    return (
-        shape_matches(left, reference.root, ONE_ONE + w)
-        and shape_matches(right, reference.root, TWO + w)
-        and scaled_labels(left, right, 2 * m + 1)
-    )
+    return mirrored(build_tree(tree.max_rank - rank(w) - 2).root, *child.children)

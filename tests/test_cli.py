@@ -1,5 +1,6 @@
 import json
 
+from yflattice import cli, primes
 from yflattice.cli import main
 
 
@@ -145,6 +146,33 @@ def test_whole_row_guards(capsys):
     assert code == 1 and out == "" and "guard of 24" in err
     code, out, err = run(capsys, "verify", "oracle", "--max-rank", "25")
     assert code == 1 and out == "" and "guard of 24" in err
+
+
+def test_verify_coprime_guard_before_rows(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"enumerate_rank({n}) called before the guard")
+
+    monkeypatch.setattr(cli, "enumerate_rank", refuse)
+    monkeypatch.setattr(primes, "enumerate_rank", refuse)
+    code, out, err = run(capsys, "verify", "coprime", "-p", "3", "--max-n", "25")
+    assert code == 1 and out == "" and "guard of 24" in err
+
+
+def test_verify_max_rank_is_max_n(capsys):
+    outputs = []
+    for flag in ("--max-n", "--max-rank"):
+        code, out, _ = run(capsys, "verify", "oracle", flag, "3", "--format", "json")
+        assert code == 0
+        outputs.append(json.loads(out)["records"])
+    assert outputs[0] == outputs[1]
+    assert [r["n"] for r in outputs[0]] == [0, 1, 2, 3]
+
+
+def test_modulus_guard(capsys):
+    code, out, err = run(capsys, "residues", "-n", "4", "-k", "30")
+    assert code == 1 and out == "" and "guard of 20" in err
+    code, out, err = run(capsys, "verify", "main", "-k", "21")
+    assert code == 1 and out == "" and "guard of 20" in err
 
 
 def test_residues_table_and_assert(capsys):

@@ -125,6 +125,11 @@ def test_odd_row_words_match_filtered_enumeration():
         assert odd_row_words(n) == [w for w in enumerate_rank(n) if is_odd_word(w)]
 
 
+def test_odd_row_words_guard():
+    with pytest.raises(ValueError, match="guard of 40"):
+        odd_row_words(41)
+
+
 def test_build_tree_row_sizes():
     tree = build_tree(7)
     assert [len(row) for row in tree.rows()] == [1, 1, 2, 2, 4, 4, 8, 8]
@@ -227,6 +232,17 @@ def test_self_similarity_detects_tampering():
 
     tree = build_tree(6)
     tree.find((1, 1, 2)).children.pop()
+    assert not verify_subtree_self_similarity(tree, (2,))
+
+
+def test_self_similarity_detects_tampering_in_11w_branch():
+    # below w = 2 the 11w branch starts at 112; 2112 mirrors 222 in the 2w branch
+    tree = build_tree(6)
+    tree.find((2, 1, 1, 2)).f += 2
+    assert not verify_subtree_self_similarity(tree, (2,))
+
+    tree = build_tree(6)
+    tree.find((1, 1, 1, 1, 2)).word = (1, 1, 1, 2, 1)
     assert not verify_subtree_self_similarity(tree, (2,))
 
 

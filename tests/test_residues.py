@@ -3,6 +3,7 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from yflattice import residues
 from yflattice import (
     ResidueHistogram,
     enumerate_rank,
@@ -40,6 +41,10 @@ def test_histogram_guards():
         residue_histogram_dp(4, 0)
     with pytest.raises(ValueError):
         residue_histogram_dp(-1, 3)
+    with pytest.raises(ValueError, match="guard of 20"):
+        residue_histogram_dp(4, 21)
+    with pytest.raises(ValueError, match="guard of 20"):
+        residue_histogram_enum(4, 21)
 
 
 @given(st.integers(min_value=0, max_value=24), st.integers(min_value=1, max_value=8))
@@ -109,6 +114,26 @@ def test_verify_one_step_scan():
     # rows 5 and 6: not flat yet at 5, flat from 6 on
     assert not by_n[5].flat_before
     assert by_n[6].flat_before and by_n[6].flat_after
+
+
+def test_verify_one_step_walks_rows_once(monkeypatch):
+    calls = []
+    dp = residues.residue_histogram_dp
+    monkeypatch.setattr(residues, "residue_histogram_dp", lambda n, k: calls.append(n) or dp(n, k))
+    assert all(v.ok for v in verify_one_step(4, 30))
+    assert len(calls) <= 1
+
+
+def test_verify_one_step_flags_match_dp():
+    for k in range(1, 7):
+        for v in verify_one_step(k, 40):
+            assert v.flat_after == is_equidistributed(residue_histogram_dp(v.n + 1, k))
+
+
+def test_verify_one_step_catches_wrong_shift(monkeypatch):
+    shift = residues.multiplicative_shift
+    monkeypatch.setattr(residues, "multiplicative_shift", lambda h, c: shift(h, c + 2))
+    assert not all(v.step_identity for v in verify_one_step(3, 12))
 
 
 def test_one_step_even_identity():
