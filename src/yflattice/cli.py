@@ -10,11 +10,12 @@ import json
 import sys
 from typing import Any, Sequence
 
-from .core import ROW_MAX_RANK, check_rank, enumerate_rank, word_text
+from .core import EMPTY_TOKEN, ROW_MAX_RANK, SUBSET_MAX_RANK, check_rank, enumerate_rank, word_text
 from .fstat import f_product, f_recursive
 from .macdonald import MacdonaldNode, build_tree, f_valued_row, is_odd_word
 from .primes import coprime_table, is_coprime_direct, is_coprime_structural, residue_distribution_mod_p
 from .residues import (
+    ResidueHistogram,
     is_equidistributed,
     pi_multiset,
     residue_histogram_dp,
@@ -43,7 +44,7 @@ def _cell(value: Any) -> str:
 def _table(records: list[dict[str, Any]]) -> str:
     keys = list(records[0]) if records else []
     rows = [[_cell(r[k]) for k in keys] for r in records]
-    widths = [max(len(k), *(len(row[i]) for row in rows)) if rows else len(k) for i, k in enumerate(keys)]
+    widths = [max(len(k), *(len(row[i]) for row in rows)) for i, k in enumerate(keys)]
     lines = ["  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip()]
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
@@ -78,7 +79,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         words = [w for w in words if is_odd_word(w)]
     elif args.filter == "coprime":
         words = [w for w in words if is_coprime_direct(w, args.prime)]
-    empty = "" if args.format in ("json", "jsonl") else "e"
+    empty = "" if args.format in ("json", "jsonl") else EMPTY_TOKEN
     records = [
         {
             "word": word_text(w, empty=empty),
@@ -144,6 +145,8 @@ def _suite_one_step(args: argparse.Namespace) -> list[dict[str, Any]]:
 
 
 def _suite_pi_row(args: argparse.Namespace) -> list[dict[str, Any]]:
+    check_rank(args.max_n, SUBSET_MAX_RANK)
+
     def check(n: int) -> dict[str, Any]:
         products = pi_multiset(n, strict=args.strict_pi)
         size = sum(products.values())
@@ -191,6 +194,7 @@ def _suite_oracle(args: argparse.Namespace) -> list[dict[str, Any]]:
     return [check(n) for n in range(args.max_n + 1)]
 
 
+_MAX_N_DEFAULTS = {"one-step": 12, "pi-row": 16, "coprime": 18, "oracle": 12}
 _SUITES = {
     "main": _suite_main,
     "one-step": _suite_one_step,
@@ -203,6 +207,8 @@ _SUITES = {
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite in ("main", "one-step") and args.modulus_pow is None:
         args.parser.error(f"suite {args.suite} requires --modulus-pow/-k")
+    if args.max_n is None:
+        args.max_n = _MAX_N_DEFAULTS.get(args.suite)
     records = _SUITES[args.suite](args)
     ok = all(r["ok"] for r in records)
     text = _records_text(records, args.format, ok=ok)
@@ -222,26 +228,23 @@ def cmd_residues(args: argparse.Namespace) -> int:
         method = args.method or "dp"
         compute = residue_histogram_enum if method == "enum" else residue_histogram_dp
         h = compute(args.rank, args.modulus_pow)
-        modulus, counts = h.modulus, h.counts
-        flat = is_equidistributed(h)
     else:
         method = None
-        counts = residue_distribution_mod_p(args.rank, args.prime)
-        modulus = args.prime
-        flat = len(set(counts.values())) == 1
+        h = ResidueHistogram(args.prime, residue_distribution_mod_p(args.rank, args.prime))
+    flat = is_equidistributed(h)
     verdict = "flat" if flat else "not-flat"
     if args.format == "json":
         payload = {
             "n": args.rank,
-            "modulus": modulus,
-            "counts": {str(r): c for r, c in counts.items()},
+            "modulus": h.modulus,
+            "counts": {str(r): c for r, c in h.counts.items()},
             "flat": flat,
         }
         if method is not None:
             payload["method"] = method
         _emit(json.dumps(payload, indent=2), args.out)
     else:
-        records = [{"residue": r, "count": c} for r, c in counts.items()]
+        records = [{"residue": r, "count": c} for r, c in h.counts.items()]
         text = _records_text(records, args.format)
         if args.format == "csv":
             print(f"verdict: {verdict}", file=sys.stderr)
@@ -300,15 +303,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MAX_N_DEFAULTS = {"one-step": 12, "pi-row": 16, "coprime": 18, "oracle": 12}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "max_n", None) is None and getattr(args, "suite", None) in _MAX_N_DEFAULTS:
-            args.max_n = _MAX_N_DEFAULTS[args.suite]
         return args.cmd(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

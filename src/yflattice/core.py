@@ -19,6 +19,7 @@ EMPTY_TOKEN = "e"
 # products over a row of odd words, F(n+1) materialized words in a whole row.
 SUBSET_MAX_RANK = 40
 ROW_MAX_RANK = 24
+TREE_MAX_RANK = 30  # about 3 * 2^(n//2) tree node objects: 282 MiB of them at rank 30
 
 
 def check_rank(n: int, limit: int | None = None) -> None:

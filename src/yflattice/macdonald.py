@@ -12,10 +12,21 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import SUBSET_MAX_RANK, Word, check_rank, rank, word_text
+from .core import SUBSET_MAX_RANK, TREE_MAX_RANK, Word, check_rank, rank, word_text
 
 TWO: Word = (2,)
 ONE_ONE: Word = (1, 1)
+
+
+def _violating_two(w: Word) -> int:
+    """1-based position of the rightmost 2 with oddly many 1s to its right, or 0."""
+    ones = 0
+    for i, x in enumerate(reversed(w)):
+        if x == 1:
+            ones += 1
+        elif ones % 2:
+            return len(w) - i
+    return 0
 
 
 def is_odd_word(w: Word) -> bool:
@@ -24,24 +35,7 @@ def is_odd_word(w: Word) -> bool:
     Checked structurally: every 2 must see an even number of 1s to its
     right, which makes every factor of the product form odd.
     """
-    ones = 0
-    for x in reversed(w):
-        if x == 1:
-            ones += 1
-        elif ones % 2:
-            return False
-    return True
-
-
-def _violating_two(w: Word) -> int:
-    """1-based position of a 2 with oddly many 1s to its right."""
-    ones = 0
-    for i in range(len(w) - 1, -1, -1):
-        if w[i] == 1:
-            ones += 1
-        elif ones % 2:
-            return i + 1
-    raise ValueError("word has no violating 2")
+    return not _violating_two(w)
 
 
 @dataclass(frozen=True)
@@ -69,10 +63,9 @@ def block_decompose(w: Word) -> BlockForm:
     forced left to right.  Non-odd words are rejected, naming a 2 with an
     odd number of 1s to its right.
     """
-    if not is_odd_word(w):
+    if pos := _violating_two(w):
         raise ValueError(
-            f"{word_text(w)} is not an odd word: the 2 at position "
-            f"{_violating_two(w)} has an odd number of 1s to its right"
+            f"{word_text(w)} is not an odd word: the 2 at position {pos} has an odd number of 1s to its right"
         )
     i = rank(w) % 2
     blocks: list[Word] = []
@@ -148,7 +141,7 @@ def build_tree(max_rank: int) -> MacdonaldTree:
     carrying its chain count.  A child's count comes from its parent's: the
     same for 1w and 11v, times the parent's rank for 2v.
     """
-    check_rank(max_rank, SUBSET_MAX_RANK)
+    check_rank(max_rank, TREE_MAX_RANK)
     root = MacdonaldNode((), 1)
     frontier = [root]
     for r in range(max_rank):

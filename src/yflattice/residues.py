@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import islice, pairwise
+from typing import Iterable, Iterator
 
 from .core import SUBSET_MAX_RANK, check_rank
 
@@ -46,7 +47,7 @@ def _check_modulus_pow(k: int) -> None:
 
 @dataclass
 class ResidueHistogram:
-    """Counts of odd residues mod a power of two; keys cover all of them."""
+    """Counts of residues mod `modulus`: the odd ones mod 2^k, the nonzero ones mod a prime."""
 
     modulus: int
     counts: dict[int, int]
@@ -123,24 +124,31 @@ class RowVerdict:
     flat: bool
 
 
+def _walk(k: int, n: int) -> Iterator[tuple[int, ResidueHistogram]]:
+    """Rows n, n+1, ... with their histograms mod 2^k, in one pass.
+
+    Row n comes from residue_histogram_dp; each later row folds in the
+    factors the row before it lacks.
+    """
+    h = residue_histogram_dp(n, k)
+    while True:
+        yield n, h
+        n += 1
+        for c in _row_factors(n)[len(_row_factors(n - 1)) :]:
+            h = _fold(h, c)
+
+
 def verify_main_theorem(k: int, n_extra: int) -> list[RowVerdict]:
     """Flatness verdicts mod 2^k for rows 2^(k-1)+2 through 2^(k-1)+2+n_extra.
 
-    The first row comes from the convolution directly; each later row folds
-    into the previous histogram the factors the previous row lacks.  Every
+    The rows come from one _walk starting at the threshold row.  Every
     verdict in the report must be flat.
     """
     _check_modulus_pow(k)
     if n_extra < 0:
         raise ValueError("n_extra must be nonnegative")
     start = (1 << (k - 1)) + 2
-    h = residue_histogram_dp(start, k)
-    verdicts = [RowVerdict(start, k, is_equidistributed(h))]
-    for n in range(start + 1, start + n_extra + 1):
-        for c in _row_factors(n)[len(_row_factors(n - 1)) :]:
-            h = _fold(h, c)
-        verdicts.append(RowVerdict(n, k, is_equidistributed(h)))
-    return verdicts
+    return [RowVerdict(n, k, is_equidistributed(h)) for n, h in islice(_walk(k, start), n_extra + 1)]
 
 
 @dataclass(frozen=True)
@@ -170,30 +178,17 @@ class StepVerdict:
 def verify_one_step(k: int, n_max: int) -> list[StepVerdict]:
     """Check every step n -> n+1 for n up to n_max, mod 2^k.
 
-    One walk over the rows: row n+1 folds into row n the factors row n
-    lacks, and the step law, stepped from row n through
-    multiplicative_shift, must give the same histogram.
+    One _walk over rows 0..n_max+1 gives each row n+1 by folding; the step
+    law, stepped from row n through multiplicative_shift, must give the
+    same histogram.
     """
     _check_modulus_pow(k)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    verdicts = []
-    h = residue_histogram_dp(0, k)
-    for n in range(n_max + 1):
-        succ = h
-        for c in _row_factors(n + 1)[len(_row_factors(n)) :]:
-            succ = _fold(succ, c)
-        verdicts.append(
-            StepVerdict(
-                n,
-                k,
-                flat_before=is_equidistributed(h),
-                flat_after=is_equidistributed(succ),
-                step_identity=succ == _stepped(h, n),
-            )
-        )
-        h = succ
-    return verdicts
+    return [
+        StepVerdict(n, k, is_equidistributed(h), is_equidistributed(succ), succ == _stepped(h, n))
+        for (n, h), (_, succ) in pairwise(islice(_walk(k, 0), n_max + 2))
+    ]
 
 
 def pi_multiset(n: int, strict: bool = False) -> Counter[int]:

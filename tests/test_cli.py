@@ -86,6 +86,8 @@ def test_tree_json(capsys):
 def test_tree_guards(capsys):
     code, _, err = run(capsys, "tree", "--max-rank", "99")
     assert code == 1 and "guard" in err
+    code, out, err = run(capsys, "tree", "--max-rank", "31")
+    assert code == 1 and out == "" and "guard of 30" in err
     code, _, _ = run(capsys, "tree", "--max-rank", "0")
     assert code == 0
 
@@ -149,13 +151,19 @@ def test_whole_row_guards(capsys):
 
 
 def test_verify_coprime_guard_before_rows(capsys, monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"enumerate_rank({n}) called before the guard")
+    def refuse(n, *args, **kwargs):
+        raise AssertionError(f"row {n} computed before the guard")
 
     monkeypatch.setattr(cli, "enumerate_rank", refuse)
     monkeypatch.setattr(primes, "enumerate_rank", refuse)
-    code, out, err = run(capsys, "verify", "coprime", "-p", "3", "--max-n", "25")
-    assert code == 1 and out == "" and "guard of 24" in err
+    monkeypatch.setattr(cli, "pi_multiset", refuse)
+    monkeypatch.setattr(cli, "f_valued_row", refuse)
+    for argv, guard in (
+        (("coprime", "-p", "3", "--max-n", "25"), "guard of 24"),
+        (("pi-row", "--max-n", "41"), "guard of 40"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 1 and out == "" and guard in err
 
 
 def test_verify_max_rank_is_max_n(capsys):
@@ -173,6 +181,8 @@ def test_modulus_guard(capsys):
     assert code == 1 and out == "" and "guard of 20" in err
     code, out, err = run(capsys, "verify", "main", "-k", "21")
     assert code == 1 and out == "" and "guard of 20" in err
+    code, out, err = run(capsys, "residues", "-n", "3", "-p", "1000003")
+    assert code == 1 and out == "" and "guard of 524288" in err
 
 
 def test_residues_table_and_assert(capsys):

@@ -63,6 +63,8 @@ def test_block_decompose_rejects_even_word():
         block_decompose((2, 1))
     with pytest.raises(ValueError, match="position 2"):
         block_decompose((1, 2, 1))
+    with pytest.raises(ValueError, match="position 4"):
+        block_decompose((2, 1, 1, 2, 1))
 
 
 @given(odd_words())
@@ -171,7 +173,9 @@ def test_build_tree_trivial_and_negative():
     assert tree.root.children == []
     with pytest.raises(ValueError):
         build_tree(-1)
-    with pytest.raises(ValueError, match="guard of 40"):
+    with pytest.raises(ValueError, match="guard of 30"):
+        build_tree(31)
+    with pytest.raises(ValueError, match="guard of 30"):
         build_tree(41)
 
 

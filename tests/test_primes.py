@@ -139,3 +139,6 @@ def test_residue_distribution_guards():
         residue_distribution_mod_p(3, 6)
     with pytest.raises(ValueError):
         residue_distribution_mod_p(25, 3)
+    with pytest.raises(ValueError, match="guard of 524288"):
+        residue_distribution_mod_p(3, 1000003)
+    assert sum(residue_distribution_mod_p(3, 524287).values()) == 3

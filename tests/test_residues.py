@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -122,6 +123,17 @@ def test_verify_one_step_walks_rows_once(monkeypatch):
     monkeypatch.setattr(residues, "residue_histogram_dp", lambda n, k: calls.append(n) or dp(n, k))
     assert all(v.ok for v in verify_one_step(4, 30))
     assert len(calls) <= 1
+    calls.clear()
+    assert all(v.flat for v in verify_main_theorem(4, 20))
+    assert calls == [10]
+
+
+def test_walk_matches_dp_row_by_row():
+    for k in range(1, 7):
+        for start in (0, 5, (1 << (k - 1)) + 2):
+            rows = list(islice(residues._walk(k, start), 40))
+            assert [n for n, _ in rows] == list(range(start, start + 40))
+            assert all(h == residue_histogram_dp(n, k) for n, h in rows)
 
 
 def test_verify_one_step_flags_match_dp():
