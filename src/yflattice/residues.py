@@ -4,6 +4,10 @@ The chain counts over the odd words of rank n form the multiset of subset
 products of {1, 3, ..., 2*(n//2) - 1}.  This module builds their histograms
 mod 2^k two ways (per-subset enumeration and a bucket convolution), decides
 flatness, and packages the row-threshold and one-step verdicts.
+
+The convolution indexes its buckets by discrete log: every odd residue mod
+2^k is (-1)^s * 5^e, so the (n//2) folds are each a rotation of two bucket
+lists plus 2^(k-1) C-level adds.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, pairwise
+from operator import add
 from typing import Iterable, Iterator
 
 from .core import SUBSET_MAX_RANK, check_rank
@@ -34,7 +39,9 @@ def _subset_products(factors: Iterable[int], m: int | None = None) -> list[int]:
 
 
 # A histogram mod 2^k holds 2^(k-1) buckets: residues -n 10 -k 20 peaks at
-# about 190 MiB, and each further step of k doubles that.
+# about 310 MiB (190 MiB with --format json, so most of it is the output),
+# verify one-step -k 20 --max-n 4 at about 200 MiB, and each further step of
+# k doubles that.
 MODULUS_MAX_POW = 20
 
 
@@ -66,28 +73,88 @@ def residue_histogram_enum(n: int, k: int) -> ResidueHistogram:
     return ResidueHistogram(m, {r: tally.get(r, 0) for r in range(1, m, 2)})
 
 
-def _fold(h: ResidueHistogram, c: int) -> ResidueHistogram:
-    """Fold one factor c into the histogram: each subset skips c or takes it."""
-    m = h.modulus
-    counts = dict(h.counts)
-    for r, count in h.counts.items():
-        counts[r * c % m] += count
-    return ResidueHistogram(m, counts)
+# The bucket DP for row n mod 2^k folds n//2 factors into 2^(k-1) buckets
+# whose counts grow to about n//2 bits, so its work is W = (n//2)^2 * 2^(k-1).
+# On a 2-core x86-64 VM the threshold row 2^(k-1)+2 took 0.7-0.8 s at k = 13
+# (W ~ 2^34), 4.0-5.0 s at k = 14 (2^37) and 29-37 s at k = 15 (2^40).
+DP_MAX_WORK = 1 << 38
+
+
+def _check_dp_work(n: int, k: int) -> None:
+    work = (n // 2) ** 2 << (k - 1)
+    if work > DP_MAX_WORK:
+        raise ValueError(
+            f"bucket DP work (n//2)^2 * 2^(k-1) = {work} for row {n} mod 2^{k} "
+            f"exceeds the guard of {DP_MAX_WORK}"
+        )
+
+
+Buckets = tuple[list[int], list[int]]
+
+
+def _dlog(k: int) -> list[int]:
+    """Discrete logs of the odd residues mod 2^k, by base -1 and 5.
+
+    Entry r >> 1 is s * L + e, where r = (-1)^s * 5^e mod 2^k, e < L = 2^(k-2)
+    (L = 1 for k <= 2) and s is 0 or 1 (only 0 at k = 1, where -1 = 1).  Ints,
+    not (s, e) tuples, so that the table stays small beside the counts.
+    """
+    m = 1 << k
+    size = max(1, m >> 2)
+    dlog = [0] * (m >> 1)
+    r = 1
+    for e in range(size):
+        dlog[(m - r) >> 1] = size + e
+        dlog[r >> 1] = e  # after m - r, so that 1 keeps s = 0 at k = 1
+        r = r * 5 % m
+    return dlog
+
+
+def _fold(buckets: Buckets, c: int, dlog: list[int]) -> Buckets:
+    """Fold one factor c = (-1)^s * 5^e: each subset skips c or takes it.
+
+    Taking c sends bucket (t, j) to (t ^ s, j + e), so both lists rotate by
+    e and swap when s = 1.
+    """
+    plus, minus = buckets
+    s, e = divmod(dlog[(c >> 1) % len(dlog)], len(plus))  # (c mod 2^k) >> 1
+    cut = len(plus) - e
+    taken = plus[cut:] + plus[:cut], minus[cut:] + minus[:cut]
+    if s:
+        taken = taken[::-1]
+    return list(map(add, plus, taken[0])), list(map(add, minus, taken[1]))
+
+
+def _buckets(counts: dict[int, int], dlog: list[int]) -> Buckets:
+    """The bucket lists, plus then minus, that hold counts."""
+    size = max(1, len(dlog) // 2)
+    flat = [0] * (2 * size)
+    for i, j in enumerate(dlog):
+        flat[j] = counts.get(2 * i + 1, 0)
+    return flat[:size], flat[size:]
+
+
+def _histogram(buckets: Buckets, dlog: list[int]) -> ResidueHistogram:
+    """The histogram that buckets hold, keys in ascending residue order."""
+    flat = buckets[0] + buckets[1]
+    return ResidueHistogram(2 * len(dlog), {2 * i + 1: flat[j] for i, j in enumerate(dlog)})
 
 
 def residue_histogram_dp(n: int, k: int) -> ResidueHistogram:
     """Same histogram as residue_histogram_enum, by bucket convolution.
 
-    Folds in one factor at a time over the 2^(k-1) odd-residue buckets, so
-    the cost is (n//2) * 2^(k-1) instead of 2^(n//2).
+    Makes (n//2) folds, each a rotation of the discrete-log bucket lists
+    plus 2^(k-1) C-level adds, instead of walking 2^(n//2) subsets.  Refused
+    above DP_MAX_WORK before any fold.
     """
     _check_modulus_pow(k)
     check_rank(n)
-    m = 1 << k
-    h = ResidueHistogram(m, {r: int(r == 1) for r in range(1, m, 2)})
+    _check_dp_work(n, k)
+    dlog = _dlog(k)
+    buckets = _buckets({1: 1}, dlog)
     for c in _row_factors(n):
-        h = _fold(h, c)
-    return h
+        buckets = _fold(buckets, c, dlog)
+    return _histogram(buckets, dlog)
 
 
 def is_equidistributed(h: ResidueHistogram) -> bool:
@@ -128,14 +195,18 @@ def _walk(k: int, n: int) -> Iterator[tuple[int, ResidueHistogram]]:
     """Rows n, n+1, ... with their histograms mod 2^k, in one pass.
 
     Row n comes from residue_histogram_dp; each later row folds in the
-    factors the row before it lacks.
+    factors the row before it lacks.  Callers bound the last row by
+    DP_MAX_WORK.
     """
     h = residue_histogram_dp(n, k)
+    dlog = _dlog(k)
+    buckets = _buckets(h.counts, dlog)
     while True:
         yield n, h
         n += 1
         for c in _row_factors(n)[len(_row_factors(n - 1)) :]:
-            h = _fold(h, c)
+            buckets = _fold(buckets, c, dlog)
+        h = _histogram(buckets, dlog)
 
 
 def verify_main_theorem(k: int, n_extra: int) -> list[RowVerdict]:
@@ -148,6 +219,7 @@ def verify_main_theorem(k: int, n_extra: int) -> list[RowVerdict]:
     if n_extra < 0:
         raise ValueError("n_extra must be nonnegative")
     start = (1 << (k - 1)) + 2
+    _check_dp_work(start + n_extra, k)
     return [RowVerdict(n, k, is_equidistributed(h)) for n, h in islice(_walk(k, start), n_extra + 1)]
 
 
@@ -185,6 +257,7 @@ def verify_one_step(k: int, n_max: int) -> list[StepVerdict]:
     _check_modulus_pow(k)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    _check_dp_work(n_max + 1, k)
     return [
         StepVerdict(n, k, is_equidistributed(h), is_equidistributed(succ), succ == _stepped(h, n))
         for (n, h), (_, succ) in pairwise(islice(_walk(k, 0), n_max + 2))

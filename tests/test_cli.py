@@ -1,6 +1,6 @@
 import json
 
-from yflattice import cli, primes
+from yflattice import cli, primes, residues
 from yflattice.cli import main
 
 
@@ -183,6 +183,16 @@ def test_modulus_guard(capsys):
     assert code == 1 and out == "" and "guard of 20" in err
     code, out, err = run(capsys, "residues", "-n", "3", "-p", "1000003")
     assert code == 1 and out == "" and "guard of 524288" in err
+
+
+def test_dp_work_guard(capsys, monkeypatch):
+    def no_fold(*args):
+        raise AssertionError("folded before the guard")
+
+    monkeypatch.setattr(residues, "_fold", no_fold)
+    for argv in (("verify", "main", "-k", "15"), ("residues", "-n", "10000000", "-k", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "guard of" in err
 
 
 def test_residues_table_and_assert(capsys):

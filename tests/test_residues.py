@@ -54,12 +54,32 @@ def test_dp_equals_enum(n, k):
     assert residue_histogram_dp(n, k) == residue_histogram_enum(n, k)
 
 
+def test_dlog_is_a_bijection_onto_odd_residues():
+    for k in range(1, 13):
+        m = 1 << k
+        size = max(1, m >> 2)
+        dlog = residues._dlog(k)
+        assert len(dlog) == m >> 1
+        assert len(set(dlog)) == len(dlog)
+        for i, code in enumerate(dlog):
+            s, e = divmod(code, size)
+            assert e < size and s in ((0,) if k == 1 else (0, 1))
+            assert 2 * i + 1 == (-1) ** s * pow(5, e, m) % m
+
+
+def test_dp_equals_enum_where_factors_wrap():
+    # factors past 2^k wrap around, and 2^k - 1 is -1 (s = 1, e = 0)
+    for k in range(1, 5):
+        for n in range((1 << k) + 7):
+            assert residue_histogram_dp(n, k) == residue_histogram_enum(n, k), (n, k)
+
+
 @given(st.integers(min_value=0, max_value=24), st.integers(min_value=1, max_value=8))
 @settings(max_examples=60)
 def test_histogram_shape(n, k):
     h = residue_histogram_dp(n, k)
     assert h.modulus == 1 << k
-    assert sorted(h.counts) == list(range(1, h.modulus, 2))
+    assert list(h.counts) == list(range(1, h.modulus, 2))
     assert sum(h.counts.values()) == 1 << (n // 2)
 
 
@@ -105,6 +125,25 @@ def test_verify_main_theorem_guards():
         verify_main_theorem(0, 2)
     with pytest.raises(ValueError):
         verify_main_theorem(3, -1)
+
+
+def test_dp_work_guard(monkeypatch):
+    def no_fold(*args):
+        raise AssertionError("folded before the guard")
+
+    monkeypatch.setattr(residues, "_fold", no_fold)
+    for refused in (
+        lambda: residue_histogram_dp(1_000_000_000, 3),
+        lambda: verify_main_theorem(15, 0),
+        lambda: verify_main_theorem(14, 1 << 13),
+        lambda: verify_one_step(1, 1 << 21),
+    ):
+        with pytest.raises(ValueError, match="guard of"):
+            refused()
+    # the threshold row stays accepted up to k = 14 (about 4 s, not run here)
+    for k in range(1, 15):
+        residues._check_dp_work((1 << (k - 1)) + 2, k)
+    residues._check_dp_work(1 << 20, 1)
 
 
 def test_verify_one_step_scan():
