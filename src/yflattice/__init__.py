@@ -30,9 +30,7 @@ from .macdonald import (
     verify_subtree_self_similarity,
 )
 from .primes import (
-    CoprimeCount,
     coprime_count,
-    coprime_table,
     is_coprime_direct,
     is_coprime_structural,
     is_prime,
@@ -74,9 +72,7 @@ __all__ = [
     "macdonald_children",
     "odd_row_words",
     "verify_subtree_self_similarity",
-    "CoprimeCount",
     "coprime_count",
-    "coprime_table",
     "is_coprime_direct",
     "is_coprime_structural",
     "is_prime",

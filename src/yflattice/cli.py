@@ -13,7 +13,7 @@ from typing import Any, Sequence
 from .core import EMPTY_TOKEN, ROW_MAX_RANK, SUBSET_MAX_RANK, check_rank, enumerate_rank, word_text
 from .fstat import f_product, f_recursive
 from .macdonald import MacdonaldNode, build_tree, f_valued_row, is_odd_word
-from .primes import coprime_table, is_coprime_direct, is_coprime_structural, residue_distribution_mod_p
+from .primes import coprime_count, is_coprime_direct, is_coprime_structural, residue_distribution_mod_p
 from .residues import (
     ResidueHistogram,
     is_equidistributed,
@@ -148,13 +148,12 @@ def _suite_pi_row(args: argparse.Namespace) -> list[dict[str, Any]]:
     check_rank(args.max_n, SUBSET_MAX_RANK)
 
     def check(n: int) -> dict[str, Any]:
-        products = pi_multiset(n, strict=args.strict_pi)
+        products = pi_multiset(n)
         size = sum(products.values())
         match = products == f_valued_row(n)
         return {
             "check": "pi-row",
             "n": n,
-            "strict": args.strict_pi,
             "cardinality": size,
             "ok": match and size == 1 << (n // 2),
         }
@@ -163,24 +162,27 @@ def _suite_pi_row(args: argparse.Namespace) -> list[dict[str, Any]]:
 
 
 def _suite_coprime(args: argparse.Namespace) -> list[dict[str, Any]]:
+    check_rank(args.max_n, ROW_MAX_RANK)
     primes = args.prime or [2, 3, 5, 7]
 
-    def check(p: int, n: int, enum: int, closed: int, agree: bool) -> dict[str, Any]:
-        predicates = all(
-            is_coprime_structural(w, p) == is_coprime_direct(w, p) for w in enumerate_rank(n)
-        )
+    def check(p: int, n: int) -> dict[str, Any]:
+        row = enumerate_rank(n)
+        direct = [is_coprime_direct(w, p) for w in row]
+        count, closed = sum(direct), coprime_count(p, n)
+        agree = count == closed
+        predicates = all(is_coprime_structural(w, p) == d for w, d in zip(row, direct))
         return {
             "check": "coprime",
             "p": p,
             "n": n,
-            "count": enum,
+            "count": count,
             "closed_form_count": closed,
             "agree": agree,
             "predicates_agree": predicates,
             "ok": agree and predicates,
         }
 
-    return [check(p, *row) for p in primes for row in coprime_table(p, args.max_n)]
+    return [check(p, n) for p in primes for n in range(args.max_n + 1)]
 
 
 def _suite_oracle(args: argparse.Namespace) -> list[dict[str, Any]]:
@@ -284,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-extra", type=int, default=2, help="rows past the threshold (suite main)")
     p_verify.add_argument("--max-n", "--max-rank", type=int, default=None, help="row bound (one-step, pi-row, coprime, oracle)")
     p_verify.add_argument("-p", "--prime", type=int, action="append", help="prime for suite coprime, repeatable")
-    p_verify.add_argument("--strict-pi", action="store_true", help="literal odd-factors-up-to-n reading (nonconforming)")
     p_verify.add_argument("--format", choices=("table", "csv", "json", "jsonl"), default="table")
     p_verify.add_argument("--out", help="write output to this path instead of stdout")
     p_verify.set_defaults(cmd=cmd_verify, parser=p_verify)

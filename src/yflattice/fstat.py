@@ -5,11 +5,14 @@ defining recursion (sum over the covered words) and serves as the oracle;
 f_product is the O(length) production path, a hook-length analog with one
 factor per 2 in the word.  f_mod evaluates the product form modulo m with
 every intermediate reduced, so huge rows never touch big integers.
+
+f_recursive recurses once per rank and memoizes w's whole down-set, up to
+F(n+3) - 1 words at rank n, so it refuses ranks above ROW_MAX_RANK up front.
 """
 
 from __future__ import annotations
 
-from .core import Word, covers_down
+from .core import ROW_MAX_RANK, Word, check_rank, covers_down, rank
 
 
 def f_recursive(w: Word) -> int:
@@ -17,6 +20,7 @@ def f_recursive(w: Word) -> int:
 
     The cache is local, so the function stays pure from the caller's view.
     """
+    check_rank(rank(w), ROW_MAX_RANK)
     memo: dict[Word, int] = {(): 1}
 
     def go(u: Word) -> int:

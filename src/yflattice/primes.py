@@ -9,8 +9,6 @@ of such words is a product of row sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import ROW_MAX_RANK, Word, check_rank, enumerate_rank, rank
 from .fstat import f_mod
 from .residues import MODULUS_MAX_POW
@@ -76,13 +74,6 @@ def is_coprime_structural(w: Word, p: int) -> bool:
     return all(c in boundaries for c in range(n % p, n + 1, p))
 
 
-@dataclass(frozen=True)
-class CoprimeCount:
-    p: int
-    n: int
-    count: int
-
-
 def _row_size(n: int) -> int:
     """Number of words of rank n: 1, 1, 2, 3, 5, ... (Fibonacci)."""
     a, b = 1, 1
@@ -91,36 +82,17 @@ def _row_size(n: int) -> int:
     return a
 
 
-def coprime_count(p: int, n: int, method: str = "closed") -> CoprimeCount:
-    """Number of rank-n words whose chain count is coprime to p.
+def coprime_count(p: int, n: int) -> int:
+    """Number of rank-n words whose chain count is coprime to p, in closed form.
 
-    method="closed" evaluates |row p|^m * |row r| with n = p*m + r, from
-    the row sizes alone, and works at any rank; method="enum" counts words
-    one by one under the whole-row guard.
+    |row p|^m * |row r| with n = p*m + r, from the row sizes alone, at any
+    rank; enumerate_rank(n) filtered by is_coprime_direct is its check.
     """
     _check_prime(p)
-    if method == "enum":
-        check_rank(n, ROW_MAX_RANK)
-        count = sum(1 for w in enumerate_rank(n) if f_mod(w, p) != 0)
-    elif method == "closed":
-        check_rank(n)
-        m, r = divmod(n, p)
-        # |row p| only when needed: p may be far beyond any rank asked for
-        count = _row_size(p) ** m * _row_size(r) if m else _row_size(r)
-    else:
-        raise ValueError(f"method must be 'closed' or 'enum', got {method!r}")
-    return CoprimeCount(p, n, count)
-
-
-def coprime_table(p: int, max_n: int) -> list[tuple[int, int, int, bool]]:
-    """Rows (n, enumerated count, closed-form count, agree) for n <= max_n."""
-    check_rank(max_n, ROW_MAX_RANK)
-    table = []
-    for n in range(max_n + 1):
-        enum = coprime_count(p, n, method="enum").count
-        closed = coprime_count(p, n, method="closed").count
-        table.append((n, enum, closed, enum == closed))
-    return table
+    check_rank(n)
+    m, r = divmod(n, p)
+    # |row p| only when needed: p may be far beyond any rank asked for
+    return _row_size(p) ** m * _row_size(r) if m else _row_size(r)
 
 
 def residue_distribution_mod_p(n: int, p: int) -> dict[int, int]:

@@ -264,14 +264,11 @@ def verify_one_step(k: int, n_max: int) -> list[StepVerdict]:
     ]
 
 
-def pi_multiset(n: int, strict: bool = False) -> Counter[int]:
+def pi_multiset(n: int) -> Counter[int]:
     """Multiset of products of distinct odd factors attached to row n.
 
     The factors are 1, 3, ..., 2*(n//2) - 1, one subset per product, empty
-    product included; as a multiset this equals f_valued_row(n).  With
-    strict=True the factors are instead every odd integer <= n, a variant
-    kept only for comparison: at odd n it has one factor too many and the
-    row identity breaks.
+    product included; as a multiset this equals f_valued_row(n).
     """
     check_rank(n, SUBSET_MAX_RANK)
-    return Counter(_subset_products(range(1, n + 1, 2) if strict else _row_factors(n)))
+    return Counter(_subset_products(_row_factors(n)))

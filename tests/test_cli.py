@@ -112,10 +112,12 @@ def test_verify_one_step_jsonl(capsys):
     assert all(r["step_identity"] for r in records)
 
 
-def test_verify_pi_row(capsys):
+def test_verify_pi_row(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "pi-row", "--max-n", "10")
     assert code == 0
-    code, _, err = run(capsys, "verify", "pi-row", "--max-n", "8", "--strict-pi")
+    # mutation: every odd integer up to n as the factor set breaks odd rows
+    monkeypatch.setattr(residues, "_row_factors", lambda n: range(1, n + 1, 2))
+    code, _, err = run(capsys, "verify", "pi-row", "--max-n", "8")
     assert code == 1
     assert "FAIL" in err
 
@@ -135,6 +137,27 @@ def test_verify_coprime_csv_columns(capsys):
     header = out.strip().splitlines()[0].split(",")
     for column in ("n", "count", "closed_form_count", "agree"):
         assert column in header
+
+
+def test_verify_coprime_walks_each_row_once(capsys, monkeypatch):
+    calls = {"f_mod": 0, "rows": []}
+    f_mod, enumerate_rank = primes.f_mod, cli.enumerate_rank
+
+    def counted_f_mod(w, m):
+        calls["f_mod"] += 1
+        return f_mod(w, m)
+
+    def counted_rows(n):
+        calls["rows"].append(n)
+        return enumerate_rank(n)
+
+    monkeypatch.setattr(primes, "f_mod", counted_f_mod)
+    monkeypatch.setattr(cli, "enumerate_rank", counted_rows)
+    monkeypatch.setattr(primes, "enumerate_rank", counted_rows)
+    code, _, _ = run(capsys, "verify", "coprime", "-p", "3", "--max-n", "10")
+    assert code == 0
+    assert calls["f_mod"] == 232  # the words of rows 0..10: F(13) - 1
+    assert calls["rows"] == list(range(11))
 
 
 def test_verify_oracle(capsys):

@@ -77,6 +77,12 @@ def test_f_mod_matches_full_value(w, m):
     assert f_mod(w, m) == f_product(w) % m
 
 
+def test_f_recursive_refuses_ranks_past_the_row_guard():
+    with pytest.raises(ValueError, match="guard of 24"):
+        f_recursive((1,) * 499)
+    assert f_recursive((2,) * 12) == 316234143225  # 23!!, one factor per 2
+
+
 def test_f_mod_rejects_small_modulus():
     with pytest.raises(ValueError):
         f_mod((2, 1), 1)

@@ -3,7 +3,6 @@ import pytest
 
 from yflattice import (
     coprime_count,
-    coprime_table,
     enumerate_rank,
     f_product,
     is_coprime_direct,
@@ -61,38 +60,43 @@ def test_structural_at_two_is_oddness(w):
     assert is_coprime_structural(w, 2) == is_odd_word(w)
 
 
+def _enumerated_count(p, n):
+    return sum(is_coprime_direct(w, p) for w in enumerate_rank(n))
+
+
 def test_coprime_count_known_sequence():
-    got = [coprime_count(3, n).count for n in range(13)]
+    got = [coprime_count(3, n) for n in range(13)]
     assert got == [1, 1, 2, 3, 3, 6, 9, 9, 18, 27, 27, 54, 81]
+    assert type(got[0]) is int
 
 
 def test_coprime_count_modes_agree():
     for p in (2, 3, 5, 7):
         for n in range(16):
-            assert coprime_count(p, n, method="enum") == coprime_count(p, n, method="closed")
+            assert coprime_count(p, n) == _enumerated_count(p, n)
 
 
 def test_coprime_count_closed_form_reaches_far():
-    assert coprime_count(3, 100).count == coprime_count(3, 3).count ** 33 * 1
-    assert coprime_count(2, 60).count == 2**30
+    assert coprime_count(3, 100) == coprime_count(3, 3) ** 33 * 1
+    assert coprime_count(2, 60) == 2**30
 
 
 def test_coprime_count_at_two_counts_odd_words():
     for n in range(15):
-        assert coprime_count(2, n, method="enum").count == 1 << (n // 2)
+        assert _enumerated_count(2, n) == coprime_count(2, n) == 1 << (n // 2)
 
 
 def test_coprime_count_closed_needs_no_enumeration(monkeypatch):
-    expected = {(p, n): coprime_count(p, n, method="enum").count for p in (2, 3, 5, 7, 11) for n in range(15)}
+    expected = {(p, n): _enumerated_count(p, n) for p in (2, 3, 5, 7, 11) for n in range(15)}
 
     def refuse(n):
         raise AssertionError("closed route enumerated a row")
 
     monkeypatch.setattr("yflattice.primes.enumerate_rank", refuse)
     for (p, n), count in expected.items():
-        assert coprime_count(p, n).count == count
+        assert coprime_count(p, n) == count
     # |row 29| = F(30) = 832040, |row 2| = 2
-    assert coprime_count(29, 60).count == 832040**2 * 2
+    assert coprime_count(29, 60) == 832040**2 * 2
 
 
 def test_coprime_count_guards():
@@ -100,17 +104,6 @@ def test_coprime_count_guards():
         coprime_count(4, 3)
     with pytest.raises(ValueError):
         coprime_count(3, -1)
-    with pytest.raises(ValueError):
-        coprime_count(3, 25, method="enum")
-    with pytest.raises(ValueError):
-        coprime_count(3, 5, method="fast")
-
-
-def test_coprime_table():
-    table = coprime_table(3, 8)
-    assert table[0] == (0, 1, 1, True)
-    assert table[7] == (7, 9, 9, True)
-    assert all(agree for _, _, _, agree in table)
 
 
 def test_residue_distribution_known():

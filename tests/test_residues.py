@@ -211,12 +211,14 @@ def test_pi_multiset_matches_row():
         assert sum(products.values()) == 1 << (n // 2)
 
 
-def test_pi_multiset_strict_reading_breaks_at_odd_ranks():
-    strict = pi_multiset(7, strict=True)
+def test_pi_multiset_strict_reading_breaks_at_odd_ranks(monkeypatch):
+    # mutation: every odd integer up to n as the factor set
+    monkeypatch.setattr(residues, "_row_factors", lambda n: range(1, n + 1, 2))
+    strict = pi_multiset(7)
     assert sum(strict.values()) == 16
     assert strict != f_valued_row(7)
     # at even ranks the two readings coincide
-    assert pi_multiset(6, strict=True) == pi_multiset(6)
+    assert pi_multiset(6) == f_valued_row(6)
 
 
 def test_pi_multiset_guards():
