@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .core import EMPTY_TOKEN, ROW_MAX_RANK, SUBSET_MAX_RANK, check_rank, enumerate_rank, word_text
 from .fstat import f_product, f_recursive
@@ -41,22 +41,17 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _table(records: list[dict[str, Any]]) -> str:
-    keys = list(records[0]) if records else []
-    rows = [[_cell(r[k]) for k in keys] for r in records]
-    widths = [max(len(k), *(len(row[i]) for row in rows)) for i, k in enumerate(keys)]
+def _table(keys: Sequence[str], rows: Iterable[Iterable[Any]]) -> str:
+    cells = [[_cell(v) for v in row] for row in rows]
+    widths = [max(len(k), *(len(row[i]) for row in cells)) for i, k in enumerate(keys)]
     lines = ["  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip()]
-    for row in rows:
+    for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines)
 
 
-def _csv(records: list[dict[str, Any]]) -> str:
-    keys = list(records[0]) if records else []
-    lines = [",".join(keys)]
-    for r in records:
-        lines.append(",".join(_cell(r[k]) for k in keys))
-    return "\n".join(lines)
+def _csv(keys: Sequence[str], rows: Iterable[Iterable[Any]]) -> str:
+    return "\n".join([",".join(keys), *(",".join(map(_cell, row)) for row in rows)])
 
 
 def _records_text(records: list[dict[str, Any]], fmt: str, ok: bool | None = None) -> str:
@@ -65,9 +60,9 @@ def _records_text(records: list[dict[str, Any]], fmt: str, ok: bool | None = Non
         return json.dumps(payload, indent=2)
     if fmt == "jsonl":
         return "\n".join(json.dumps(r) for r in records)
-    if fmt == "csv":
-        return _csv(records)
-    return _table(records)
+    keys = list(records[0]) if records else []
+    rows = [r.values() for r in records]
+    return _csv(keys, rows) if fmt == "csv" else _table(keys, rows)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -246,12 +241,12 @@ def cmd_residues(args: argparse.Namespace) -> int:
             payload["method"] = method
         _emit(json.dumps(payload, indent=2), args.out)
     else:
-        records = [{"residue": r, "count": c} for r, c in h.counts.items()]
-        text = _records_text(records, args.format)
+        keys, rows = ["residue", "count"], h.counts.items()
         if args.format == "csv":
+            text = _csv(keys, rows)
             print(f"verdict: {verdict}", file=sys.stderr)
         else:
-            text += f"\nverdict: {verdict}"
+            text = _table(keys, rows) + f"\nverdict: {verdict}"
         _emit(text, args.out)
     if args.assert_flat and not flat:
         return 1
@@ -311,7 +306,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.cmd(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

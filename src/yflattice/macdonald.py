@@ -172,7 +172,7 @@ def f_valued_row(n: int) -> Counter[int]:
     odd rank r < n every label is kept (11v) and label * r is added (2v).
     Even ranks add nothing, so rows 2m and 2m+1 agree.
     """
-    check_rank(n)
+    check_rank(n, SUBSET_MAX_RANK)
     row = Counter({1: 1})
     for r in range(1, n, 2):
         grown = Counter(row)

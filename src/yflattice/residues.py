@@ -39,9 +39,9 @@ def _subset_products(factors: Iterable[int], m: int | None = None) -> list[int]:
 
 
 # A histogram mod 2^k holds 2^(k-1) buckets: residues -n 10 -k 20 peaks at
-# about 310 MiB (190 MiB with --format json, so most of it is the output),
-# verify one-step -k 20 --max-n 4 at about 200 MiB, and each further step of
-# k doubles that.
+# about 213 MiB as a table, 100 MiB as CSV and 188 MiB as JSON, verify
+# one-step -k 20 --max-n 4 at about 200 MiB, and each further step of k
+# doubles that.
 MODULUS_MAX_POW = 20
 
 

@@ -1,6 +1,6 @@
 import json
 
-from yflattice import cli, primes, residues
+from yflattice import cli, fstat, primes, residues
 from yflattice.cli import main
 
 
@@ -166,6 +166,21 @@ def test_verify_oracle(capsys):
     assert "10/10 checks passed" in out
 
 
+def test_verify_oracle_counts_each_word_once(capsys, monkeypatch):
+    calls = []
+    covers_down = fstat.covers_down
+
+    def counted(w):
+        calls.append(w)
+        return covers_down(w)
+
+    fstat._chains.cache_clear()
+    monkeypatch.setattr(fstat, "covers_down", counted)
+    code, _, _ = run(capsys, "verify", "oracle", "--max-rank", "12")
+    assert code == 0
+    assert len(calls) <= 609  # the words of rows 0..12: F(15) - 1
+
+
 def test_whole_row_guards(capsys):
     code, out, err = run(capsys, "enumerate", "-n", "25")
     assert code == 1 and out == "" and "guard of 24" in err
@@ -277,6 +292,15 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "word,rank,f,odd"
+
+
+def test_out_unwritable_path_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "enumerate", "-n", "3", "--format", "csv", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not target.exists()
 
 
 def test_help_exits_zero(capsys):

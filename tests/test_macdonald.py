@@ -199,6 +199,11 @@ def test_f_valued_row_matches_word_enumeration():
         assert f_valued_row(n) == expected
 
 
+def test_f_valued_row_guard():
+    with pytest.raises(ValueError, match="guard of 40"):
+        f_valued_row(41)
+
+
 @given(st.integers(min_value=0, max_value=15))
 def test_f_valued_row_pairs(m):
     assert f_valued_row(2 * m + 1) == f_valued_row(2 * m)
