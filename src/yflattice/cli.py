@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, Collection, Iterable, Sequence
 
 from .core import EMPTY_TOKEN, ROW_MAX_RANK, SUBSET_MAX_RANK, check_rank, enumerate_rank, word_text
 from .fstat import f_product, f_recursive
@@ -41,12 +41,13 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _table(keys: Sequence[str], rows: Iterable[Iterable[Any]]) -> str:
-    cells = [[_cell(v) for v in row] for row in rows]
-    widths = [max(len(k), *(len(row[i]) for row in cells)) for i, k in enumerate(keys)]
+def _table(keys: Sequence[str], rows: Collection[Iterable[Any]]) -> str:
+    """Aligned columns; rows are walked twice, for the widths, then the lines."""
+    widths = list(map(len, keys))
+    for row in rows:
+        widths = [max(w, len(_cell(v))) for w, v in zip(widths, row)]
     lines = ["  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip()]
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    lines += ("  ".join(_cell(v).ljust(w) for v, w in zip(row, widths)).rstrip() for row in rows)
     return "\n".join(lines)
 
 
@@ -68,7 +69,6 @@ def _records_text(records: list[dict[str, Any]], fmt: str, ok: bool | None = Non
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.filter == "coprime" and args.prime is None:
         args.parser.error("--filter coprime requires --prime/-p")
-    check_rank(args.rank, ROW_MAX_RANK)
     words = enumerate_rank(args.rank)
     if args.filter == "odd":
         words = [w for w in words if is_odd_word(w)]

@@ -93,9 +93,9 @@ def enumerate_rank(n: int) -> list[Word]:
     """All words of rank n, exactly once, in lexicographic order (1 < 2).
 
     Row sizes obey the Fibonacci recurrence |F(n)| = |F(n-1)| + |F(n-2)|
-    with |F(0)| = |F(1)| = 1.
+    with |F(0)| = |F(1)| = 1.  Ranks above ROW_MAX_RANK are refused.
     """
-    check_rank(n)
+    check_rank(n, ROW_MAX_RANK)
     below: list[Word] = []  # row -1 is empty
     row = [EMPTY_WORD]
     for _ in range(n):

@@ -9,7 +9,7 @@ of such words is a product of row sizes.
 
 from __future__ import annotations
 
-from .core import ROW_MAX_RANK, Word, check_rank, enumerate_rank, rank
+from .core import Word, check_rank, enumerate_rank, rank
 from .fstat import f_mod
 from .residues import MODULUS_MAX_POW
 
@@ -106,7 +106,6 @@ def residue_distribution_mod_p(n: int, p: int) -> dict[int, int]:
         raise ValueError("p must be an odd prime; modulus 2 is covered by the power-of-two histograms")
     if p - 1 > (buckets := 1 << (MODULUS_MAX_POW - 1)):  # as many as the largest histogram mod 2^k
         raise ValueError(f"modulus {p} needs {p - 1} buckets, over the guard of {buckets}")
-    check_rank(n, ROW_MAX_RANK)
     counts = dict.fromkeys(range(1, p), 0)
     for w in enumerate_rank(n):
         r = f_mod(w, p)

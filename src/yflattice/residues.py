@@ -7,14 +7,16 @@ flatness, and packages the row-threshold and one-step verdicts.
 
 The convolution indexes its buckets by discrete log: every odd residue mod
 2^k is (-1)^s * 5^e, so the (n//2) folds are each a rotation of two bucket
-lists plus 2^(k-1) C-level adds.
+lists plus 2^(k-1) C-level adds.  One walk over consecutive rows, _walk,
+makes every fold: it serves the single histogram, the threshold scan and
+the step law alike.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, pairwise
+from itertools import pairwise
 from operator import add
 from typing import Iterable, Iterator
 
@@ -39,8 +41,8 @@ def _subset_products(factors: Iterable[int], m: int | None = None) -> list[int]:
 
 
 # A histogram mod 2^k holds 2^(k-1) buckets: residues -n 10 -k 20 peaks at
-# about 213 MiB as a table, 100 MiB as CSV and 188 MiB as JSON, verify
-# one-step -k 20 --max-n 4 at about 200 MiB, and each further step of k
+# about 97 MiB as a table or CSV and 193 MiB as JSON, verify one-step -k 20
+# --max-n 4 at about 183 MiB (2-core x86-64 VM), and each further step of k
 # doubles that.
 MODULUS_MAX_POW = 20
 
@@ -125,19 +127,29 @@ def _fold(buckets: Buckets, c: int, dlog: list[int]) -> Buckets:
     return list(map(add, plus, taken[0])), list(map(add, minus, taken[1]))
 
 
-def _buckets(counts: dict[int, int], dlog: list[int]) -> Buckets:
-    """The bucket lists, plus then minus, that hold counts."""
+def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, ResidueHistogram]]:
+    """Rows n through last with their histograms mod 2^k, in one pass.
+
+    Every guard runs before the first fold, the last row bounding the DP
+    work.  Row n folds its own factors into the unit buckets; each later row
+    folds in only the factors the row before it lacks.  All rows share one
+    discrete-log table and one list of residue keys.
+    """
+    _check_modulus_pow(k)
+    check_rank(n)
+    _check_dp_work(last, k)
+    dlog = _dlog(k)
+    keys = list(range(1, 1 << k, 2))
     size = max(1, len(dlog) // 2)
-    flat = [0] * (2 * size)
-    for i, j in enumerate(dlog):
-        flat[j] = counts.get(2 * i + 1, 0)
-    return flat[:size], flat[size:]
-
-
-def _histogram(buckets: Buckets, dlog: list[int]) -> ResidueHistogram:
-    """The histogram that buckets hold, keys in ascending residue order."""
-    flat = buckets[0] + buckets[1]
-    return ResidueHistogram(2 * len(dlog), {2 * i + 1: flat[j] for i, j in enumerate(dlog)})
+    buckets = [1] + [0] * (size - 1), [0] * size  # the empty product: residue 1 = 5^0
+    folded = 0
+    for row in range(n, last + 1):
+        factors = _row_factors(row)
+        for c in factors[folded:]:
+            buckets = _fold(buckets, c, dlog)
+        folded = len(factors)
+        flat = buckets[0] + buckets[1]
+        yield row, ResidueHistogram(1 << k, dict(zip(keys, map(flat.__getitem__, dlog))))
 
 
 def residue_histogram_dp(n: int, k: int) -> ResidueHistogram:
@@ -147,14 +159,7 @@ def residue_histogram_dp(n: int, k: int) -> ResidueHistogram:
     plus 2^(k-1) C-level adds, instead of walking 2^(n//2) subsets.  Refused
     above DP_MAX_WORK before any fold.
     """
-    _check_modulus_pow(k)
-    check_rank(n)
-    _check_dp_work(n, k)
-    dlog = _dlog(k)
-    buckets = _buckets({1: 1}, dlog)
-    for c in _row_factors(n):
-        buckets = _fold(buckets, c, dlog)
-    return _histogram(buckets, dlog)
+    return next(_walk(k, n, n))[1]
 
 
 def is_equidistributed(h: ResidueHistogram) -> bool:
@@ -191,24 +196,6 @@ class RowVerdict:
     flat: bool
 
 
-def _walk(k: int, n: int) -> Iterator[tuple[int, ResidueHistogram]]:
-    """Rows n, n+1, ... with their histograms mod 2^k, in one pass.
-
-    Row n comes from residue_histogram_dp; each later row folds in the
-    factors the row before it lacks.  Callers bound the last row by
-    DP_MAX_WORK.
-    """
-    h = residue_histogram_dp(n, k)
-    dlog = _dlog(k)
-    buckets = _buckets(h.counts, dlog)
-    while True:
-        yield n, h
-        n += 1
-        for c in _row_factors(n)[len(_row_factors(n - 1)) :]:
-            buckets = _fold(buckets, c, dlog)
-        h = _histogram(buckets, dlog)
-
-
 def verify_main_theorem(k: int, n_extra: int) -> list[RowVerdict]:
     """Flatness verdicts mod 2^k for rows 2^(k-1)+2 through 2^(k-1)+2+n_extra.
 
@@ -219,8 +206,7 @@ def verify_main_theorem(k: int, n_extra: int) -> list[RowVerdict]:
     if n_extra < 0:
         raise ValueError("n_extra must be nonnegative")
     start = (1 << (k - 1)) + 2
-    _check_dp_work(start + n_extra, k)
-    return [RowVerdict(n, k, is_equidistributed(h)) for n, h in islice(_walk(k, start), n_extra + 1)]
+    return [RowVerdict(n, k, is_equidistributed(h)) for n, h in _walk(k, start, start + n_extra)]
 
 
 @dataclass(frozen=True)
@@ -257,10 +243,9 @@ def verify_one_step(k: int, n_max: int) -> list[StepVerdict]:
     _check_modulus_pow(k)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    _check_dp_work(n_max + 1, k)
     return [
         StepVerdict(n, k, is_equidistributed(h), is_equidistributed(succ), succ == _stepped(h, n))
-        for (n, h), (_, succ) in pairwise(islice(_walk(k, 0), n_max + 2))
+        for (n, h), (_, succ) in pairwise(_walk(k, 0, n_max + 1))
     ]
 
 

@@ -101,3 +101,9 @@ def test_enumerate_rank_closed_under_covers():
 def test_enumerate_rank_rejects_negative():
     with pytest.raises(ValueError):
         enumerate_rank(-1)
+
+
+def test_enumerate_rank_refuses_past_row_guard():
+    # rank 25 would hold 121393 words; rank 40 would hold 165580141
+    with pytest.raises(ValueError, match="guard of 24"):
+        enumerate_rank(25)

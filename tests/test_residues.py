@@ -1,5 +1,4 @@
 from collections import Counter
-from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -121,7 +120,7 @@ def test_verify_main_theorem_known():
 
 
 def test_verify_main_theorem_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 1"):
         verify_main_theorem(0, 2)
     with pytest.raises(ValueError):
         verify_main_theorem(3, -1)
@@ -157,20 +156,22 @@ def test_verify_one_step_scan():
 
 
 def test_verify_one_step_walks_rows_once(monkeypatch):
-    calls = []
-    dp = residues.residue_histogram_dp
-    monkeypatch.setattr(residues, "residue_histogram_dp", lambda n, k: calls.append(n) or dp(n, k))
-    assert all(v.ok for v in verify_one_step(4, 30))
-    assert len(calls) <= 1
-    calls.clear()
+    calls = Counter()
+    fold, dlog = residues._fold, residues._dlog
+    monkeypatch.setattr(residues, "_fold", lambda *a: calls.update(["fold"]) or fold(*a))
+    monkeypatch.setattr(residues, "_dlog", lambda k: calls.update(["dlog"]) or dlog(k))
+    # the last rows walked, 30 and 31, hold 15 factors each: every one folds once
     assert all(v.flat for v in verify_main_theorem(4, 20))
-    assert calls == [10]
+    assert calls == {"fold": 15, "dlog": 1}
+    calls.clear()
+    assert all(v.ok for v in verify_one_step(4, 30))
+    assert calls == {"fold": 15, "dlog": 1}
 
 
 def test_walk_matches_dp_row_by_row():
     for k in range(1, 7):
         for start in (0, 5, (1 << (k - 1)) + 2):
-            rows = list(islice(residues._walk(k, start), 40))
+            rows = list(residues._walk(k, start, start + 39))
             assert [n for n, _ in rows] == list(range(start, start + 40))
             assert all(h == residue_histogram_dp(n, k) for n, h in rows)
 
