@@ -38,8 +38,6 @@ from .primes import (
 )
 from .residues import (
     ResidueHistogram,
-    RowVerdict,
-    StepVerdict,
     is_equidistributed,
     multiplicative_shift,
     pi_multiset,
@@ -78,8 +76,6 @@ __all__ = [
     "is_prime",
     "residue_distribution_mod_p",
     "ResidueHistogram",
-    "RowVerdict",
-    "StepVerdict",
     "is_equidistributed",
     "multiplicative_shift",
     "pi_multiset",

@@ -82,14 +82,21 @@ def _row_size(n: int) -> int:
     return a
 
 
+# coprime_count's row sizes and result are ints of about 0.7*n bits, built in
+# up to n additions: every call measured at n <= 2^18 took at most 1.3 s, where
+# coprime_count(3, 10**8) took 33 s (2-core x86-64 VM).
+COUNT_MAX_RANK = 1 << 18
+
+
 def coprime_count(p: int, n: int) -> int:
     """Number of rank-n words whose chain count is coprime to p, in closed form.
 
-    |row p|^m * |row r| with n = p*m + r, from the row sizes alone, at any
-    rank; enumerate_rank(n) filtered by is_coprime_direct is its check.
+    |row p|^m * |row r| with n = p*m + r, from the row sizes alone, up to
+    rank COUNT_MAX_RANK; enumerate_rank(n) filtered by is_coprime_direct is
+    its check.
     """
     _check_prime(p)
-    check_rank(n)
+    check_rank(n, COUNT_MAX_RANK)
     m, r = divmod(n, p)
     # |row p| only when needed: p may be far beyond any rank asked for
     return _row_size(p) ** m * _row_size(r) if m else _row_size(r)

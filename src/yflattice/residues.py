@@ -3,7 +3,8 @@
 The chain counts over the odd words of rank n form the multiset of subset
 products of {1, 3, ..., 2*(n//2) - 1}.  This module builds their histograms
 mod 2^k two ways (per-subset enumeration and a bucket convolution), decides
-flatness, and packages the row-threshold and one-step verdicts.
+flatness, and returns the row-threshold and one-step verdicts as the very
+records `yflattice verify main`/`one-step` print.
 
 The convolution indexes its buckets by discrete log: every odd residue mod
 2^k is (-1)^s * 5^e, so the (n//2) folds are each a rotation of two bucket
@@ -18,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import pairwise
 from operator import add
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .core import SUBSET_MAX_RANK, check_rank
 
@@ -41,7 +42,7 @@ def _subset_products(factors: Iterable[int], m: int | None = None) -> list[int]:
 
 
 # A histogram mod 2^k holds 2^(k-1) buckets: residues -n 10 -k 20 peaks at
-# about 97 MiB as a table or CSV and 193 MiB as JSON, verify one-step -k 20
+# about 97 MiB as a table or CSV and 141-143 MiB as JSON, verify one-step -k 20
 # --max-n 4 at about 183 MiB (2-core x86-64 VM), and each further step of k
 # doubles that.
 MODULUS_MAX_POW = 20
@@ -189,64 +190,41 @@ def _stepped(h: ResidueHistogram, n: int) -> ResidueHistogram:
     return ResidueHistogram(h.modulus, {r: count + shifted[r] for r, count in h.counts.items()})
 
 
-@dataclass(frozen=True)
-class RowVerdict:
-    n: int
-    k: int
-    flat: bool
-
-
-def verify_main_theorem(k: int, n_extra: int) -> list[RowVerdict]:
-    """Flatness verdicts mod 2^k for rows 2^(k-1)+2 through 2^(k-1)+2+n_extra.
+def verify_main_theorem(k: int, n_extra: int) -> list[dict[str, Any]]:
+    """Flatness records mod 2^k for rows 2^(k-1)+2 through 2^(k-1)+2+n_extra.
 
     The rows come from one _walk starting at the threshold row.  Every
-    verdict in the report must be flat.
+    record, {"check": "flat-row", "k", "n", "ok"}, must have ok true.
     """
     _check_modulus_pow(k)
     if n_extra < 0:
         raise ValueError("n_extra must be nonnegative")
     start = (1 << (k - 1)) + 2
-    return [RowVerdict(n, k, is_equidistributed(h)) for n, h in _walk(k, start, start + n_extra)]
+    return [
+        {"check": "flat-row", "k": k, "n": n, "ok": is_equidistributed(h)}
+        for n, h in _walk(k, start, start + n_extra)
+    ]
 
 
-@dataclass(frozen=True)
-class StepVerdict:
-    """One n -> n+1 comparison: flatness on both sides plus the step law.
-
-    step_identity records whether the (n+1)-histogram equals the stepped
-    n-histogram: unchanged after even n, the sum of itself and its n-shift
-    after odd n.
-    """
-
-    n: int
-    k: int
-    flat_before: bool
-    flat_after: bool
-    step_identity: bool
-
-    @property
-    def implication_ok(self) -> bool:
-        return self.flat_after or not self.flat_before
-
-    @property
-    def ok(self) -> bool:
-        return self.implication_ok and self.step_identity
-
-
-def verify_one_step(k: int, n_max: int) -> list[StepVerdict]:
-    """Check every step n -> n+1 for n up to n_max, mod 2^k.
+def verify_one_step(k: int, n_max: int) -> list[dict[str, Any]]:
+    """Step records mod 2^k for every step n -> n+1 with n up to n_max.
 
     One _walk over rows 0..n_max+1 gives each row n+1 by folding; the step
     law, stepped from row n through multiplicative_shift, must give the
-    same histogram.
+    same histogram (step_identity).  A record is ok when that holds and
+    flatness at n carries over to n+1.
     """
     _check_modulus_pow(k)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return [
-        StepVerdict(n, k, is_equidistributed(h), is_equidistributed(succ), succ == _stepped(h, n))
-        for (n, h), (_, succ) in pairwise(_walk(k, 0, n_max + 1))
-    ]
+    records = []
+    for (n, h), (_, succ) in pairwise(_walk(k, 0, n_max + 1)):
+        flat_n, flat_next, step = is_equidistributed(h), is_equidistributed(succ), succ == _stepped(h, n)
+        ok = (flat_next or not flat_n) and step
+        records.append(
+            {"check": "step", "k": k, "n": n, "flat_n": flat_n, "flat_next": flat_next, "step_identity": step, "ok": ok}
+        )
+    return records
 
 
 def pi_multiset(n: int) -> Counter[int]:

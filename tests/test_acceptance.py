@@ -81,7 +81,7 @@ def test_criterion_3_odd_row_counts():
 
 def test_criterion_4_flat_rows_past_threshold():
     start = perf_counter()
-    ok = all(v.flat for k in range(1, 13) for v in verify_main_theorem(k, 10))
+    ok = all(v["ok"] for k in range(1, 13) for v in verify_main_theorem(k, 10))
     ok = ok and all(
         residue_histogram_dp(n, k) == residue_histogram_enum(n, k)
         for n in range(21)
@@ -108,7 +108,7 @@ def test_criterion_5_row_product_identity():
 
 def test_criterion_6_one_step_law():
     start = perf_counter()
-    ok = all(v.ok for k in range(1, 7) for v in verify_one_step(k, 40))
+    ok = all(v["ok"] for k in range(1, 7) for v in verify_one_step(k, 40))
     _report(6, "flatness persists and the step identities hold to row 40", ok, perf_counter() - start)
 
 

@@ -112,6 +112,16 @@ def test_verify_one_step_jsonl(capsys):
     assert all(r["step_identity"] for r in records)
 
 
+def test_verify_records_are_the_library_records(capsys):
+    for argv, records in (
+        (["main", "-k", "3", "--n-extra", "2"], residues.verify_main_theorem(3, 2)),
+        (["one-step", "-k", "3", "--max-n", "12"], residues.verify_one_step(3, 12)),
+    ):
+        code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["records"] == records
+
+
 def test_verify_pi_row(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "pi-row", "--max-n", "10")
     assert code == 0

@@ -104,6 +104,9 @@ def test_coprime_count_guards():
         coprime_count(4, 3)
     with pytest.raises(ValueError):
         coprime_count(3, -1)
+    with pytest.raises(ValueError, match="guard of 262144"):
+        coprime_count(3, 2**18 + 1)
+    assert coprime_count(3, 2**18) == 3 ** (2**18 // 3)  # 2^18 = 3m + 1, |row 1| = 1
 
 
 def test_residue_distribution_known():

@@ -114,9 +114,9 @@ def test_shift_preserves_mass(n, k, c):
 
 
 def test_verify_main_theorem_known():
-    assert [(v.n, v.flat) for v in verify_main_theorem(3, 2)] == [(6, True), (7, True), (8, True)]
-    assert [(v.n, v.flat) for v in verify_main_theorem(2, 4)] == [(n, True) for n in range(4, 9)]
-    assert all(v.flat for v in verify_main_theorem(1, 3))
+    assert [(v["n"], v["ok"]) for v in verify_main_theorem(3, 2)] == [(6, True), (7, True), (8, True)]
+    assert [(v["n"], v["ok"]) for v in verify_main_theorem(2, 4)] == [(n, True) for n in range(4, 9)]
+    assert all(v["ok"] for v in verify_main_theorem(1, 3))
 
 
 def test_verify_main_theorem_guards():
@@ -148,11 +148,11 @@ def test_dp_work_guard(monkeypatch):
 def test_verify_one_step_scan():
     verdicts = verify_one_step(3, 12)
     assert len(verdicts) == 13
-    assert all(v.ok for v in verdicts)
-    by_n = {v.n: v for v in verdicts}
+    assert all(v["ok"] for v in verdicts)
+    by_n = {v["n"]: v for v in verdicts}
     # rows 5 and 6: not flat yet at 5, flat from 6 on
-    assert not by_n[5].flat_before
-    assert by_n[6].flat_before and by_n[6].flat_after
+    assert not by_n[5]["flat_n"]
+    assert by_n[6]["flat_n"] and by_n[6]["flat_next"]
 
 
 def test_verify_one_step_walks_rows_once(monkeypatch):
@@ -161,10 +161,10 @@ def test_verify_one_step_walks_rows_once(monkeypatch):
     monkeypatch.setattr(residues, "_fold", lambda *a: calls.update(["fold"]) or fold(*a))
     monkeypatch.setattr(residues, "_dlog", lambda k: calls.update(["dlog"]) or dlog(k))
     # the last rows walked, 30 and 31, hold 15 factors each: every one folds once
-    assert all(v.flat for v in verify_main_theorem(4, 20))
+    assert all(v["ok"] for v in verify_main_theorem(4, 20))
     assert calls == {"fold": 15, "dlog": 1}
     calls.clear()
-    assert all(v.ok for v in verify_one_step(4, 30))
+    assert all(v["ok"] for v in verify_one_step(4, 30))
     assert calls == {"fold": 15, "dlog": 1}
 
 
@@ -179,13 +179,22 @@ def test_walk_matches_dp_row_by_row():
 def test_verify_one_step_flags_match_dp():
     for k in range(1, 7):
         for v in verify_one_step(k, 40):
-            assert v.flat_after == is_equidistributed(residue_histogram_dp(v.n + 1, k))
+            assert v["flat_next"] == is_equidistributed(residue_histogram_dp(v["n"] + 1, k))
 
 
 def test_verify_one_step_catches_wrong_shift(monkeypatch):
     shift = residues.multiplicative_shift
     monkeypatch.setattr(residues, "multiplicative_shift", lambda h, c: shift(h, c + 2))
-    assert not all(v.step_identity for v in verify_one_step(3, 12))
+    assert not all(v["step_identity"] for v in verify_one_step(3, 12))
+
+
+def test_verify_one_step_flags_lost_flatness(monkeypatch):
+    # mutation: only rows of 8 odd words (n = 6, 7) read flat, so flatness is lost from 7 to 8
+    monkeypatch.setattr(residues, "is_equidistributed", lambda h: sum(h.counts.values()) == 8)
+    failing = [v for v in verify_one_step(3, 9) if not v["ok"]]
+    assert failing == [
+        {"check": "step", "k": 3, "n": 7, "flat_n": True, "flat_next": False, "step_identity": True, "ok": False}
+    ]
 
 
 def test_one_step_even_identity():
