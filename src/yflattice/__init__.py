@@ -17,16 +17,12 @@ from .core import (
 )
 from .fstat import f_mod, f_product, f_recursive
 from .macdonald import (
-    BlockForm,
     MacdonaldNode,
     MacdonaldTree,
-    block_decompose,
     build_tree,
-    f_odd_product,
     f_valued_row,
     is_odd_word,
     macdonald_children,
-    odd_row_words,
     verify_subtree_self_similarity,
 )
 from .primes import (
@@ -59,16 +55,12 @@ __all__ = [
     "f_mod",
     "f_product",
     "f_recursive",
-    "BlockForm",
     "MacdonaldNode",
     "MacdonaldTree",
-    "block_decompose",
     "build_tree",
-    "f_odd_product",
     "f_valued_row",
     "is_odd_word",
     "macdonald_children",
-    "odd_row_words",
     "verify_subtree_self_similarity",
     "coprime_count",
     "is_coprime_direct",

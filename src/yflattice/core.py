@@ -27,7 +27,7 @@ def check_rank(n: int, limit: int | None = None) -> None:
     if n < 0:
         raise ValueError("rank must be nonnegative")
     if limit is not None and n > limit:
-        raise ValueError(f"rank {n} exceeds the enumeration guard of {limit}")
+        raise ValueError(f"rank {n} exceeds the guard of {limit}")
 
 
 def parse_word(text: str) -> Word:

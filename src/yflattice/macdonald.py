@@ -18,79 +18,19 @@ TWO: Word = (2,)
 ONE_ONE: Word = (1, 1)
 
 
-def _violating_two(w: Word) -> int:
-    """1-based position of the rightmost 2 with oddly many 1s to its right, or 0."""
-    ones = 0
-    for i, x in enumerate(reversed(w)):
-        if x == 1:
-            ones += 1
-        elif ones % 2:
-            return len(w) - i
-    return 0
-
-
 def is_odd_word(w: Word) -> bool:
     """True iff the chain count of w is odd.
 
     Checked structurally: every 2 must see an even number of 1s to its
     right, which makes every factor of the product form odd.
     """
-    return not _violating_two(w)
-
-
-@dataclass(frozen=True)
-class BlockForm:
-    """Decomposition of an odd word: optional leading 1, then 2/11 blocks.
-
-    Blocks are indexed right to left, so blocks[0] is the rightmost block;
-    the chain count is the product of 2i+1 over the 2-block indices i.
-    """
-
-    leading_one: bool
-    blocks: tuple[Word, ...]
-
-    def reassemble(self) -> Word:
-        word: Word = (1,) if self.leading_one else ()
-        for block in reversed(self.blocks):
-            word += block
-        return word
-
-
-def block_decompose(w: Word) -> BlockForm:
-    """Split an odd word into its unique block form.
-
-    The leading 1 is forced by rank parity and the block boundaries are
-    forced left to right.  Non-odd words are rejected, naming a 2 with an
-    odd number of 1s to its right.
-    """
-    if pos := _violating_two(w):
-        raise ValueError(
-            f"{word_text(w)} is not an odd word: the 2 at position {pos} has an odd number of 1s to its right"
-        )
-    i = rank(w) % 2
-    blocks: list[Word] = []
-    while i < len(w):
-        if w[i] == 2:
-            blocks.append(TWO)
-            i += 1
-        else:
-            blocks.append(ONE_ONE)
-            i += 2
-    blocks.reverse()
-    return BlockForm(rank(w) % 2 == 1, tuple(blocks))
-
-
-def f_odd_product(form: BlockForm) -> int:
-    """Chain count of an odd word from its block form.
-
-    One factor 2i+1 per 2-block at right-to-left index i; 11-blocks and the
-    leading 1 contribute nothing.
-    """
-    f = 1
-    for i, block in enumerate(form.blocks):
-        if block == TWO:
-            f *= 2 * i + 1
-    return f
+    ones = 0
+    for x in reversed(w):
+        if x == 1:
+            ones += 1
+        elif ones % 2:
+            return False
+    return True
 
 
 def macdonald_children(w: Word) -> list[Word]:
@@ -153,16 +93,6 @@ def build_tree(max_rank: int) -> MacdonaldTree:
                 grown.append(child)
         frontier = grown
     return MacdonaldTree(root, max_rank)
-
-
-def odd_row_words(n: int) -> list[Word]:
-    """All odd words of rank n (there are 2^(n//2)), in lexicographic order."""
-    check_rank(n, SUBSET_MAX_RANK)
-    words: list[Word] = [(1,) if n % 2 else ()]
-    for _ in range(n // 2):
-        # appending 11 before 2 preserves lexicographic order
-        words = [w + block for w in words for block in (ONE_ONE, TWO)]
-    return words
 
 
 def f_valued_row(n: int) -> Counter[int]:

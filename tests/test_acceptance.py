@@ -5,6 +5,7 @@ from collections import Counter
 from time import perf_counter
 
 from yflattice import (
+    build_tree,
     coprime_count,
     covers_down,
     covers_up,
@@ -15,7 +16,6 @@ from yflattice import (
     is_coprime_direct,
     is_coprime_structural,
     is_odd_word,
-    odd_row_words,
     pi_multiset,
     rank,
     residue_distribution_mod_p,
@@ -72,7 +72,7 @@ def test_criterion_2_reference_layout(tmp_path):
 
 def test_criterion_3_odd_row_counts():
     start = perf_counter()
-    ok = all(len(odd_row_words(n)) == 1 << (n // 2) for n in range(25))
+    ok = [len(r) for r in build_tree(24).rows()] == [1 << (n // 2) for n in range(25)]
     ok = ok and all(
         sum(1 for w in enumerate_rank(n) if is_odd_word(w)) == 1 << (n // 2) for n in range(17)
     )
@@ -94,8 +94,9 @@ def test_criterion_4_flat_rows_past_threshold():
 def test_criterion_5_row_product_identity():
     start = perf_counter()
     ok = True
+    tree_rows = build_tree(20).rows()
     for n in range(21):
-        source = enumerate_rank(n) if n <= 16 else odd_row_words(n)
+        source = enumerate_rank(n) if n <= 16 else [node.word for node in tree_rows[n]]
         oracle = Counter(f_product(w) for w in source if is_odd_word(w))
         products = pi_multiset(n)
         ok = ok and products == f_valued_row(n) == oracle

@@ -105,5 +105,5 @@ def test_enumerate_rank_rejects_negative():
 
 def test_enumerate_rank_refuses_past_row_guard():
     # rank 25 would hold 121393 words; rank 40 would hold 165580141
-    with pytest.raises(ValueError, match="guard of 24"):
+    with pytest.raises(ValueError, match="^rank 25 exceeds the guard of 24$"):
         enumerate_rank(25)

@@ -4,17 +4,14 @@ from hypothesis import given, strategies as st
 import pytest
 
 from yflattice import (
-    block_decompose,
     build_tree,
     covers_up,
     enumerate_rank,
-    f_odd_product,
     f_product,
     f_recursive,
     f_valued_row,
     is_odd_word,
     macdonald_children,
-    odd_row_words,
     rank,
     verify_subtree_self_similarity,
     word_text,
@@ -39,51 +36,12 @@ def test_is_odd_word_known():
     assert not is_odd_word((2, 1))
     assert is_odd_word((2, 1, 1, 2))
     assert not is_odd_word((1, 2, 1))
+    assert not is_odd_word((2, 1, 1, 2, 1))
 
 
 @given(words)
 def test_is_odd_word_matches_parity(w):
     assert is_odd_word(w) == (f_recursive(w) % 2 == 1)
-
-
-def test_block_decompose_known():
-    form = block_decompose((2, 2, 2))
-    assert not form.leading_one
-    assert form.blocks == (TWO, TWO, TWO)
-    form = block_decompose((1, 1, 2, 2))
-    assert not form.leading_one
-    assert form.blocks == (TWO, TWO, ONE_ONE)
-    form = block_decompose((1, 2, 1, 1))
-    assert form.leading_one
-    assert form.blocks == (ONE_ONE, TWO)
-
-
-def test_block_decompose_rejects_even_word():
-    with pytest.raises(ValueError, match="position 1"):
-        block_decompose((2, 1))
-    with pytest.raises(ValueError, match="position 2"):
-        block_decompose((1, 2, 1))
-    with pytest.raises(ValueError, match="position 4"):
-        block_decompose((2, 1, 1, 2, 1))
-
-
-@given(odd_words())
-def test_block_round_trip(w):
-    form = block_decompose(w)
-    assert form.reassemble() == w
-    assert form.leading_one == (rank(w) % 2 == 1)
-    assert len(form.blocks) == rank(w) // 2
-
-
-@given(odd_words())
-def test_f_odd_product_matches_general_formula(w):
-    assert f_odd_product(block_decompose(w)) == f_product(w)
-
-
-def test_f_odd_product_known():
-    assert f_odd_product(block_decompose((2, 2, 2))) == 15
-    assert f_odd_product(block_decompose((1, 1, 2, 2))) == 3
-    assert f_odd_product(block_decompose((1, 1, 1, 1, 1))) == 1
 
 
 def test_macdonald_children_known():
@@ -114,22 +72,6 @@ def test_children_chain_counts(w):
     else:
         (child,) = macdonald_children(w)
         assert f_product(child) == f_product(w)
-
-
-def test_odd_row_words_counts():
-    assert [len(odd_row_words(n)) for n in range(13)] == [
-        1, 1, 2, 2, 4, 4, 8, 8, 16, 16, 32, 32, 64,
-    ]
-
-
-def test_odd_row_words_match_filtered_enumeration():
-    for n in range(11):
-        assert odd_row_words(n) == [w for w in enumerate_rank(n) if is_odd_word(w)]
-
-
-def test_odd_row_words_guard():
-    with pytest.raises(ValueError, match="guard of 40"):
-        odd_row_words(41)
 
 
 def test_build_tree_row_sizes():
@@ -163,7 +105,12 @@ def test_build_tree_edges_are_lattice_edges():
 def test_build_tree_labels_are_chain_counts():
     for row in build_tree(16).rows():
         for node in row:
-            assert node.f == f_product(node.word) == f_odd_product(block_decompose(node.word))
+            assert node.f == f_product(node.word)
+
+
+def test_build_tree_rows_are_the_odd_rows():
+    for n, row in enumerate(build_tree(16).rows()):
+        assert sorted(node.word for node in row) == [w for w in enumerate_rank(n) if is_odd_word(w)]
 
 
 def test_build_tree_trivial_and_negative():
@@ -195,7 +142,7 @@ def test_f_valued_row_known():
 
 def test_f_valued_row_matches_word_enumeration():
     for n in range(13):
-        expected = Counter(f_product(w) for w in odd_row_words(n))
+        expected = Counter(f_product(w) for w in enumerate_rank(n) if is_odd_word(w))
         assert f_valued_row(n) == expected
 
 
@@ -211,9 +158,10 @@ def test_f_valued_row_pairs(m):
 
 def test_self_similarity_holds_at_even_roots():
     tree = build_tree(9)
+    rows = tree.rows()
     for n in (0, 2, 4, 6):
-        for w in odd_row_words(n):
-            assert verify_subtree_self_similarity(tree, w)
+        for node in rows[n]:
+            assert verify_subtree_self_similarity(tree, node.word)
 
 
 def test_self_similarity_scaled_branch():
@@ -257,5 +205,5 @@ def test_self_similarity_detects_tampering_in_11w_branch():
 
 def test_self_similarity_trivial_when_truncated():
     tree = build_tree(4)
-    for w in odd_row_words(4):
-        assert verify_subtree_self_similarity(tree, w)
+    for node in tree.rows()[4]:
+        assert verify_subtree_self_similarity(tree, node.word)
