@@ -23,7 +23,7 @@ from .macdonald import (
     f_valued_row,
     is_odd_word,
     macdonald_children,
-    verify_subtree_self_similarity,
+    tree_rows,
 )
 from .primes import (
     coprime_count,
@@ -61,7 +61,7 @@ __all__ = [
     "f_valued_row",
     "is_odd_word",
     "macdonald_children",
-    "verify_subtree_self_similarity",
+    "tree_rows",
     "coprime_count",
     "is_coprime_direct",
     "is_coprime_structural",

@@ -8,11 +8,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Collection, Iterable, Sequence
+from typing import Any, Collection, Iterable, Iterator, Sequence
 
-from .core import EMPTY_TOKEN, ROW_MAX_RANK, SUBSET_MAX_RANK, check_rank, enumerate_rank, word_text
+from .core import EMPTY_TOKEN, ROW_MAX_RANK, SUBSET_MAX_RANK, Word, check_rank, enumerate_rank, word_text
 from .fstat import f_product, f_recursive
-from .macdonald import MacdonaldNode, build_tree, f_valued_row, is_odd_word
+from .macdonald import f_valued_row, is_odd_word, tree_rows
 from .primes import coprime_count, is_coprime_direct, is_coprime_structural, residue_distribution_mod_p
 from .residues import (
     ResidueHistogram,
@@ -25,14 +25,16 @@ from .residues import (
 )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _write(chunks: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _emit(text: str, out: str | None) -> None:
+    _write([text] if text.endswith("\n") else [text, "\n"], out)
 
 
 def _cell(value: Any) -> str:
@@ -88,32 +90,63 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tree_json(node: MacdonaldNode) -> dict[str, Any]:
-    return {
-        "word": word_text(node.word, empty=""),
-        "f": str(node.f),
-        "children": [_tree_json(c) for c in node.children],
-    }
+Rows = Iterable[list[tuple[Word, int]]]
+
+
+def _tree_dot(rows: Rows, f_valued: bool) -> Iterator[str]:
+    """DOT lines: the nodes row by row, then the edges row by row."""
+    names: list[list[str]] = []
+    yield "graph macdonald_tree {\n"
+    for row in rows:
+        texts = [word_text(w) for w, _ in row]
+        names.append(texts)
+        if f_valued:
+            yield from (f'  "{t}" [label="{t} : {f}"];\n' for t, (_, f) in zip(texts, row))
+        else:
+            yield from (f'  "{t}" [label="{t}"];\n' for t in texts)
+    for r, (parents, children) in enumerate(zip(names, names[1:])):
+        width = 1 + r % 2  # children per node of row r
+        yield from (f'  "{parents[j // width]}" -- "{c}";\n' for j, c in enumerate(children))
+    yield "}\n"
+
+
+def _tree_json(rows: Rows, max_rank: int) -> Iterator[str]:
+    """The nested tree exactly as json.dumps(..., indent=2) lays it out.
+
+    Depth-first with an explicit stack of ranks to open and text to write.
+    Preorder meets each row's nodes in layout order, so every row is read
+    left to right by its own iterator.  Words and counts are digit strings,
+    so nothing needs escaping.
+    """
+    nodes = [zip([word_text(w, empty="") for w, _ in row], [str(f) for _, f in row]) for row in rows]
+    yield f'{{\n  "max_rank": {max_rank},\n  "root": '
+    stack: list[int | str] = [0]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            yield item
+            continue
+        r = item
+        word, f = next(nodes[r])
+        pad = "    " * (r + 1)  # the node's keys; its braces sit two spaces left
+        head = f'{{\n{pad}"word": "{word}",\n{pad}"f": "{f}",\n{pad}"children": '
+        if r == max_rank:
+            yield f"{head}[]\n{pad[2:]}}}"
+            continue
+        inner = f"\n{pad}  "
+        yield f"{head}[{inner}"
+        stack += [f"\n{pad}]\n{pad[2:]}}}", r + 1]
+        if r % 2:  # two children below an odd rank
+            stack += [f",{inner}", r + 1]
+    yield "\n}\n"
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
-    tree = build_tree(args.max_rank)
+    rows = tree_rows(args.max_rank)  # the rank guard runs here, before any output
     if args.format == "json":
-        _emit(json.dumps({"max_rank": tree.max_rank, "root": _tree_json(tree.root)}, indent=2), args.out)
-        return 0
-    rows = tree.rows()
-    lines = ["graph macdonald_tree {"]
-    for row in rows:
-        for node in row:
-            name = word_text(node.word)
-            label = f"{name} : {node.f}" if args.f_valued else name
-            lines.append(f'  "{name}" [label="{label}"];')
-    for row in rows:
-        for node in row:
-            for child in node.children:
-                lines.append(f'  "{word_text(node.word)}" -- "{word_text(child.word)}";')
-    lines.append("}")
-    _emit("\n".join(lines), args.out)
+        _write(_tree_json(rows, args.max_rank), args.out)
+    else:
+        _write(_tree_dot(rows, args.f_valued), args.out)
     return 0
 
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Iterator
 
-from .core import SUBSET_MAX_RANK, TREE_MAX_RANK, Word, check_rank, rank, word_text
-
-TWO: Word = (2,)
-ONE_ONE: Word = (1, 1)
+from .core import EMPTY_WORD, SUBSET_MAX_RANK, TREE_MAX_RANK, Word, check_rank, rank, word_text
 
 
 def is_odd_word(w: Word) -> bool:
@@ -33,18 +32,36 @@ def is_odd_word(w: Word) -> bool:
     return True
 
 
-def macdonald_children(w: Word) -> list[Word]:
-    """The odd upper covers of an odd word, in tree order.
+def _branch(row: list[tuple[Word, int]], r: int) -> list[tuple[Word, int]]:
+    """Row r + 1 of the tree from row r: the branching rule, its one copy.
 
-    Even rank: the single child 1w.  Odd rank: w = 1v, children [11v, 2v];
-    the 11v branch keeps the parent's chain count, 2v scales it by rank(w).
+    Even r: each w has the single child 1w with the same chain count.  Odd
+    r: each w = 1v has the children 11v, keeping the count, and 2v, the
+    count times r.  Children follow their parents' order, so node i of row
+    r has its children at index i of row r + 1 (even r), or at 2i and
+    2i + 1 (odd r).
     """
+    if r % 2 == 0:
+        return [((1,) + w, f) for w, f in row]
+    return [child for w, f in row for child in (((1, 1) + w[1:], f), ((2,) + w[1:], f * r))]
+
+
+def macdonald_children(w: Word) -> list[Word]:
+    """The odd upper covers of an odd word, in tree order: `_branch` on w alone."""
     if not is_odd_word(w):
         raise ValueError(f"{word_text(w)} is not an odd word")
-    if rank(w) % 2 == 0:
-        return [(1,) + w]
-    v = w[1:]  # odd words of odd rank start with 1
-    return [(1, 1) + v, (2,) + v]
+    return [child for child, _ in _branch([(w, 1)], rank(w))]
+
+
+def tree_rows(max_rank: int) -> Iterator[list[tuple[Word, int]]]:
+    """Rows 0..max_rank of the Macdonald tree, as (word, chain count) pairs.
+
+    Row n holds the 2^(n//2) odd words of rank n in layout order (see
+    `_branch`); each row is built from the one before, when it is asked
+    for.  The rank guard runs at the call, before the first row.
+    """
+    check_rank(max_rank, TREE_MAX_RANK)
+    return accumulate(range(max_rank), _branch, initial=[(EMPTY_WORD, 1)])
 
 
 @dataclass
@@ -66,33 +83,19 @@ class MacdonaldTree:
             rows.append([child for node in rows[-1] for child in node.children])
         return rows
 
-    def find(self, w: Word) -> MacdonaldNode:
-        for row in self.rows():
-            for node in row:
-                if node.word == w:
-                    return node
-        raise ValueError(f"{word_text(w)} is not a node of this tree (odd words up to rank {self.max_rank})")
-
 
 def build_tree(max_rank: int) -> MacdonaldTree:
     """Materialize the Macdonald tree of odd words up to the given rank.
 
-    Breadth-first from the empty word; row n holds 2^(n//2) nodes, each
-    carrying its chain count.  A child's count comes from its parent's: the
-    same for 1w and 11v, times the parent's rank for 2v.
+    One node per pair of `tree_rows`, linked to its children by the rows'
+    layout: one child per node below an even rank, two below an odd rank.
     """
-    check_rank(max_rank, TREE_MAX_RANK)
-    root = MacdonaldNode((), 1)
-    frontier = [root]
-    for r in range(max_rank):
-        grown: list[MacdonaldNode] = []
-        for node in frontier:
-            for cw in macdonald_children(node.word):
-                child = MacdonaldNode(cw, node.f * r if cw[0] == 2 else node.f)
-                node.children.append(child)
-                grown.append(child)
-        frontier = grown
-    return MacdonaldTree(root, max_rank)
+    rows = [[MacdonaldNode(w, f) for w, f in row] for row in tree_rows(max_rank)]
+    for r, (row, grown) in enumerate(zip(rows, rows[1:])):
+        width = 1 + r % 2
+        for i, node in enumerate(row):
+            node.children = grown[width * i : width * (i + 1)]
+    return MacdonaldTree(rows[0][0], max_rank)
 
 
 def f_valued_row(n: int) -> Counter[int]:
@@ -110,42 +113,3 @@ def f_valued_row(n: int) -> Counter[int]:
             grown[f * r] += count
         row = grown
     return row
-
-
-def verify_subtree_self_similarity(tree: MacdonaldTree, w: Word) -> bool:
-    """Check the recursive self-similarity of the tree below w, rank(w) = 2m.
-
-    To the depth the tree affords: w has the single child 1w and 1w's first
-    child is 11w, both with chain count f_w; and 1w's two branches mirror
-    the depth-truncated Macdonald tree, node for node, under v -> v·11w and
-    v -> v·2w, every label in the 2w branch (2m+1) times its mirror in the
-    11w branch.  Rejects non-odd or odd-rank roots.
-    """
-    if not is_odd_word(w):
-        raise ValueError(f"{word_text(w)} is not an odd word")
-    if rank(w) % 2:
-        raise ValueError(f"{word_text(w)} has odd rank; self-similarity roots at even rank")
-    node = tree.find(w)
-    if tree.max_rank < rank(w) + 1:
-        return True  # nothing below w to compare
-    if len(node.children) != 1:
-        return False
-    child = node.children[0]
-    if child.word != (1,) + w or child.f != node.f:
-        return False
-    if tree.max_rank < rank(w) + 2:
-        return True
-    if len(child.children) != 2 or child.children[0].f != node.f:
-        return False
-    scale = rank(w) + 1
-
-    def mirrored(ref: MacdonaldNode, left: MacdonaldNode, right: MacdonaldNode) -> bool:
-        return (
-            left.word == ref.word + ONE_ONE + w
-            and right.word == ref.word + TWO + w
-            and right.f == scale * left.f
-            and len(left.children) == len(right.children) == len(ref.children)
-            and all(map(mirrored, ref.children, left.children, right.children))
-        )
-
-    return mirrored(build_tree(tree.max_rank - rank(w) - 2).root, *child.children)

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
-from yflattice import cli, fstat, primes, residues
+from hypothesis import given, strategies as st
+
+from yflattice import build_tree, cli, fstat, primes, residues, word_text
 from yflattice.cli import main
 
 
@@ -90,6 +94,59 @@ def test_tree_guards(capsys):
     assert code == 1 and out == "" and "guard of 30" in err
     code, _, _ = run(capsys, "tree", "--max-rank", "0")
     assert code == 0
+
+
+def _stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def _nested(node):
+    return {
+        "word": word_text(node.word, empty=""),
+        "f": str(node.f),
+        "children": [_nested(child) for child in node.children],
+    }
+
+
+@given(st.integers(min_value=0, max_value=16))
+def test_tree_json_is_the_materialized_tree(max_rank):
+    doc = json.loads(_stdout("tree", "--max-rank", str(max_rank), "--format", "json"))
+    assert doc == {"max_rank": max_rank, "root": _nested(build_tree(max_rank).root)}
+
+
+@given(st.integers(min_value=0, max_value=16), st.booleans())
+def test_tree_dot_lines_are_the_materialized_rows(max_rank, f_valued):
+    flags = ["--f-valued"] if f_valued else []
+    out = _stdout("tree", "--max-rank", str(max_rank), "--format", "dot", *flags)
+    nodes = [node for row in build_tree(max_rank).rows() for node in row]
+    names = [word_text(node.word) for node in nodes]
+    labels = [f"{name} : {node.f}" if f_valued else name for name, node in zip(names, nodes)]
+    edges = [(word_text(node.word), word_text(child.word)) for node in nodes for child in node.children]
+    assert out.splitlines() == [
+        "graph macdonald_tree {",
+        *(f'  "{name}" [label="{label}"];' for name, label in zip(names, labels)),
+        *(f'  "{parent}" -- "{child}";' for parent, child in edges),
+        "}",
+    ]
+
+
+def test_tree_out_writes_the_stdout_bytes(tmp_path):
+    for fmt in ("dot", "json"):
+        argv = ["tree", "--max-rank", "9", "--f-valued", "--format", fmt]
+        target = tmp_path / f"tree.{fmt}"
+        assert _stdout(*argv, "--out", str(target)) == ""
+        assert target.read_bytes() == _stdout(*argv).encode()
+
+
+def test_tree_guard_runs_before_out_is_opened(tmp_path, capsys):
+    for fmt in ("dot", "json"):
+        target = tmp_path / f"tree.{fmt}"
+        code, out, err = run(capsys, "tree", "--max-rank", "31", "--format", fmt, "--out", str(target))
+        assert code == 1 and out == "" and "guard of 30" in err
+        assert not target.exists()
 
 
 def test_verify_main_suite(capsys):

@@ -30,6 +30,9 @@ CASES = [
     ("tree --max-rank 6 --f-valued --format json", 0, "2bccd8c7d0dbd43eafbbead99d069fbb2346bb4532cc82ed20810ff4b476debe"),
     ("tree --max-rank 5 --f-valued", 0, "6ff26ff32af6dc55a66711f66a0d4a2f9a770dc608501cf9109eab74bd06a508"),
     ("tree --max-rank 5 --format json", 0, "61290df1d6ce9eb08c99b9780ab5b15fa9795a3b761c2c0406a01d50351e2027"),
+    ("tree --max-rank 20 --format json", 0, "286d3b2d00861c8f033cd13a033f37911335cbdbbc16441c4ff1d4941ed1e2a2"),
+    ("tree --max-rank 21 --format dot", 0, "555c3dbf52cb24a363d7354cc99dc68c1d067c9da402b1b91d6d3991e926fb2c"),
+    ("tree --max-rank 21 --f-valued --format dot", 0, "e8583e62c8e5aca342ba1bb2072097d28702057bbc7d81d04e5cda3ce3470b4e"),
     ("residues -n 6 -k 3", 0, "55a165f9cf803099f17c9ea6b46aebf4f92da7f074e4205f0605132e4c1b0d6b"),
     ("residues -n 20 -k 4 --method enum", 0, "5691673b145e0dbda1d93d76bc0b228e8b8ef3fef04b18617dffb9a28817deb0"),
     ("residues -n 6 -p 3", 0, "f54d4d78b591a2ca68071c4e39a89e820f5e421dd0a958dc8d7fb68f70609b0f"),

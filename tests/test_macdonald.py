@@ -13,10 +13,9 @@ from yflattice import (
     is_odd_word,
     macdonald_children,
     rank,
-    verify_subtree_self_similarity,
+    tree_rows,
     word_text,
 )
-from yflattice.macdonald import ONE_ONE, TWO
 
 words = st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple)
 
@@ -24,7 +23,7 @@ words = st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple)
 @st.composite
 def odd_words(draw, max_blocks=7):
     lead = draw(st.booleans())
-    blocks = draw(st.lists(st.sampled_from([TWO, ONE_ONE]), max_size=max_blocks))
+    blocks = draw(st.lists(st.sampled_from([(2,), (1, 1)]), max_size=max_blocks))
     word = (1,) if lead else ()
     for b in blocks:
         word += b
@@ -126,11 +125,16 @@ def test_build_tree_trivial_and_negative():
         build_tree(41)
 
 
-def test_find():
-    tree = build_tree(4)
-    assert tree.find((2, 2)).f == 3
+def test_tree_rows_guard_runs_at_the_call():
+    with pytest.raises(ValueError, match="guard of 30"):
+        tree_rows(31)
     with pytest.raises(ValueError):
-        tree.find((2, 1))
+        tree_rows(-1)
+
+
+def test_tree_rows_are_the_build_tree_rows():
+    rows = list(tree_rows(9))
+    assert rows == [[(node.word, node.f) for node in row] for row in build_tree(9).rows()]
 
 
 def test_f_valued_row_known():
@@ -156,54 +160,39 @@ def test_f_valued_row_pairs(m):
     assert f_valued_row(2 * m + 1) == f_valued_row(2 * m)
 
 
+def _levels(node):
+    """The subtree below node, level by level in layout order."""
+    levels = [[node]]
+    while levels[-1][0].children:
+        levels.append([child for x in levels[-1] for child in x.children])
+    return levels
+
+
 def test_self_similarity_holds_at_even_roots():
+    # below an even-rank w: the single child 1w, then 11w and 2w, whose
+    # subtrees are the Macdonald tree under v -> v·11w and v -> v·2w, the
+    # 2w side labelled rank(w) + 1 times its mirror
     tree = build_tree(9)
-    rows = tree.rows()
     for n in (0, 2, 4, 6):
-        for node in rows[n]:
-            assert verify_subtree_self_similarity(tree, node.word)
+        ref = build_tree(9 - n - 2).rows()
+        for node in tree.rows()[n]:
+            w = node.word
+            (child,) = node.children
+            assert child.word == (1,) + w and child.f == node.f
+            left, right = child.children
+            assert left.f == node.f
+            lefts, rights = _levels(left), _levels(right)
+            assert len(lefts) == len(rights) == len(ref)
+            for ref_row, left_row, right_row in zip(ref, lefts, rights):
+                assert [x.word for x in left_row] == [x.word + (1, 1) + w for x in ref_row]
+                assert [x.word for x in right_row] == [x.word + (2,) + w for x in ref_row]
+                assert [x.f for x in right_row] == [(n + 1) * x.f for x in left_row]
 
 
 def test_self_similarity_scaled_branch():
     # below the word 2 the right-hand branch runs at three times the left
-    tree = build_tree(6)
-    node = tree.find((1, 2))
+    (node,) = [x for x in build_tree(6).rows()[3] if x.word == (1, 2)]
     left, right = node.children
     assert left.word == (1, 1, 2) and right.word == (2, 2)
-    assert right.f == 3 * left.f
-    assert verify_subtree_self_similarity(tree, (2,))
-
-
-def test_self_similarity_rejects_bad_roots():
-    tree = build_tree(6)
-    with pytest.raises(ValueError):
-        verify_subtree_self_similarity(tree, (1,))
-    with pytest.raises(ValueError):
-        verify_subtree_self_similarity(tree, (2, 1))
-
-
-def test_self_similarity_detects_tampering():
-    tree = build_tree(6)
-    tree.find((2, 2, 2)).f += 2
-    assert not verify_subtree_self_similarity(tree, (2,))
-
-    tree = build_tree(6)
-    tree.find((1, 1, 2)).children.pop()
-    assert not verify_subtree_self_similarity(tree, (2,))
-
-
-def test_self_similarity_detects_tampering_in_11w_branch():
-    # below w = 2 the 11w branch starts at 112; 2112 mirrors 222 in the 2w branch
-    tree = build_tree(6)
-    tree.find((2, 1, 1, 2)).f += 2
-    assert not verify_subtree_self_similarity(tree, (2,))
-
-    tree = build_tree(6)
-    tree.find((1, 1, 1, 1, 2)).word = (1, 1, 1, 2, 1)
-    assert not verify_subtree_self_similarity(tree, (2,))
-
-
-def test_self_similarity_trivial_when_truncated():
-    tree = build_tree(4)
-    for node in tree.rows()[4]:
-        assert verify_subtree_self_similarity(tree, node.word)
+    for left_row, right_row in zip(_levels(left), _levels(right)):
+        assert [x.f for x in right_row] == [3 * x.f for x in left_row]
