@@ -6,14 +6,15 @@ Exit codes: 0 success, 1 failed assertion or domain guard, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Any, Collection, Iterable, Iterator, Sequence
+from functools import partial
+from itertools import chain, islice
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import EMPTY_TOKEN, ROW_MAX_RANK, SUBSET_MAX_RANK, Word, check_rank, enumerate_rank, word_text
 from .fstat import f_product, f_recursive
 from .macdonald import f_valued_row, is_odd_word, tree_rows
-from .primes import coprime_count, is_coprime_direct, is_coprime_structural, residue_distribution_mod_p
+from .primes import check_prime, coprime_count, is_coprime_direct, is_coprime_structural, residue_distribution_mod_p
 from .residues import (
     ResidueHistogram,
     is_equidistributed,
@@ -25,16 +26,24 @@ from .residues import (
 )
 
 
+def _batches(chunks: Iterable[str]) -> Iterator[str]:
+    """The chunks joined 128 at a time, one write each, and the rest as they are.
+
+    A write per table or csv line would cost more than making the line; a
+    few large chunks, such as one JSON document, are written without a copy.
+    """
+    chunks = iter(chunks)
+    while len(batch := list(islice(chunks, 128))) == 128:
+        yield "".join(batch)
+    yield from batch
+
+
 def _write(chunks: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(_batches(chunks))
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-
-
-def _emit(text: str, out: str | None) -> None:
-    _write([text] if text.endswith("\n") else [text, "\n"], out)
+            fh.writelines(_batches(chunks))
 
 
 def _cell(value: Any) -> str:
@@ -43,50 +52,85 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _table(keys: Sequence[str], rows: Collection[Iterable[Any]]) -> str:
-    """Aligned columns; rows are walked twice, for the widths, then the lines."""
+def _cells(rows: Iterable[Iterable[Any]]) -> Iterator[Iterable[str]]:
+    return (map(_cell, row) for row in rows)
+
+
+def _table(keys: Sequence[str], rows: Callable[[], Iterable[Iterable[str]]]) -> Iterator[str]:
+    """Aligned columns of text cells, line by line.
+
+    rows() is walked twice, for the widths, then the lines.
+    """
     widths = list(map(len, keys))
+    for row in rows():
+        widths = list(map(max, widths, map(len, row)))
+    yield "  ".join(map(str.ljust, keys, widths)).rstrip() + "\n"
+    for row in rows():
+        yield "  ".join(map(str.ljust, row, widths)).rstrip() + "\n"
+
+
+def _csv(keys: Sequence[str], rows: Iterable[Iterable[str]]) -> Iterator[str]:
+    yield ",".join(keys) + "\n"
     for row in rows:
-        widths = [max(w, len(_cell(v))) for w, v in zip(widths, row)]
-    lines = ["  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip()]
-    lines += ("  ".join(_cell(v).ljust(w) for v, w in zip(row, widths)).rstrip() for row in rows)
-    return "\n".join(lines)
+        yield ",".join(row) + "\n"
 
 
-def _csv(keys: Sequence[str], rows: Iterable[Iterable[Any]]) -> str:
-    return "\n".join([",".join(keys), *(",".join(map(_cell, row)) for row in rows)])
+def _records(records: list[dict[str, Any]], fmt: str, ok: bool) -> Iterator[str]:
+    if fmt in ("table", "csv"):
+        keys = list(records[0]) if records else []
+        cells = partial(_cells, [r.values() for r in records])
+        yield from _csv(keys, cells()) if fmt == "csv" else _table(keys, cells)
+        return
+    import json  # only where JSON is written: --help, tables and csv never load it
 
-
-def _records_text(records: list[dict[str, Any]], fmt: str, ok: bool | None = None) -> str:
     if fmt == "json":
-        payload: Any = records if ok is None else {"ok": ok, "records": records}
-        return json.dumps(payload, indent=2)
-    if fmt == "jsonl":
-        return "\n".join(json.dumps(r) for r in records)
-    keys = list(records[0]) if records else []
-    rows = [r.values() for r in records]
-    return _csv(keys, rows) if fmt == "csv" else _table(keys, rows)
+        yield from (json.dumps({"ok": ok, "records": records}, indent=2), "\n")
+    else:
+        yield from (json.dumps(r) + "\n" for r in records)
+
+
+_ENUMERATE_KEYS = ("word", "rank", "f", "odd")
+
+
+def _enumerate_json(records: Iterable[tuple[str, str, str, str]]) -> Iterator[str]:
+    """The records exactly as json.dumps(..., indent=2) lays them out.
+
+    Words and counts are digit strings, so nothing needs escaping.
+    """
+    lead = "[\n"
+    for word, n, f, odd in records:
+        yield f'{lead}  {{\n    "word": "{word}",\n    "rank": {n},\n    "f": "{f}",\n    "odd": {odd}\n  }}'
+        lead = ",\n"
+    yield "[]\n" if lead == "[\n" else "\n]\n"
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.filter == "coprime" and args.prime is None:
         args.parser.error("--filter coprime requires --prime/-p")
-    words = enumerate_rank(args.rank)
+    row = enumerate_rank(args.rank)  # the rank guard runs here, before any output
     if args.filter == "odd":
-        words = [w for w in words if is_odd_word(w)]
+        keep: Callable[[Word], bool] | None = is_odd_word
     elif args.filter == "coprime":
-        words = [w for w in words if is_coprime_direct(w, args.prime)]
+        check_prime(args.prime)  # refused before any output, not at the first word
+        keep = partial(is_coprime_direct, p=args.prime)
+    else:
+        keep = None
+    n = str(args.rank)
     empty = "" if args.format in ("json", "jsonl") else EMPTY_TOKEN
-    records = [
-        {
-            "word": word_text(w, empty=empty),
-            "rank": args.rank,
-            "f": str(f_product(w)),
-            "odd": is_odd_word(w),
-        }
-        for w in words
-    ]
-    _emit(_records_text(records, args.format), args.out)
+
+    def records() -> Iterator[tuple[str, str, str, str]]:
+        for w in row if keep is None else filter(keep, row):
+            yield word_text(w, empty), n, str(f_product(w)), "true" if is_odd_word(w) else "false"
+
+    if args.format == "json":
+        chunks = _enumerate_json(records())
+    elif args.format == "jsonl":
+        chunks = (f'{{"word": "{w}", "rank": {r}, "f": "{f}", "odd": {odd}}}\n' for w, r, f, odd in records())
+    elif args.format == "csv":
+        chunks = _csv(_ENUMERATE_KEYS, records())
+    else:
+        chunks = _table(_ENUMERATE_KEYS, records)
+    _write(chunks, args.out)
     return 0
 
 
@@ -172,11 +216,13 @@ def _suite_coprime(args: argparse.Namespace) -> list[dict[str, Any]]:
     primes = args.prime or [2, 3, 5, 7]
 
     def check(p: int, n: int) -> dict[str, Any]:
-        row = enumerate_rank(n)
-        direct = [is_coprime_direct(w, p) for w in row]
-        count, closed = sum(direct), coprime_count(p, n)
+        count, predicates = 0, True
+        for w in enumerate_rank(n):
+            direct = is_coprime_direct(w, p)
+            count += direct
+            predicates &= is_coprime_structural(w, p) == direct
+        closed = coprime_count(p, n)
         agree = count == closed
-        predicates = all(is_coprime_structural(w, p) == d for w, d in zip(row, direct))
         return {
             "check": "coprime",
             "p": p,
@@ -195,9 +241,11 @@ def _suite_oracle(args: argparse.Namespace) -> list[dict[str, Any]]:
     check_rank(args.max_n, ROW_MAX_RANK)
 
     def check(n: int) -> dict[str, Any]:
-        row = enumerate_rank(n)
-        agree = all(f_product(w) == f_recursive(w) for w in row)
-        return {"check": "oracle", "n": n, "words": len(row), "ok": agree}
+        words, agree = 0, True
+        for w in enumerate_rank(n):
+            words += 1
+            agree &= f_product(w) == f_recursive(w)
+        return {"check": "oracle", "n": n, "words": words, "ok": agree}
 
     return [check(n) for n in range(args.max_n + 1)]
 
@@ -221,11 +269,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.max_n = _MAX_N_DEFAULTS.get(args.suite)
     records = _SUITES[args.suite](args)
     ok = all(r["ok"] for r in records)
-    text = _records_text(records, args.format, ok=ok)
+    chunks = _records(records, args.format, ok)
     if args.format == "table":
         passed = sum(1 for r in records if r["ok"])
-        text += f"\n{passed}/{len(records)} checks passed"
-    _emit(text, args.out)
+        chunks = chain(chunks, [f"{passed}/{len(records)} checks passed\n"])
+    _write(chunks, args.out)
     if not ok:
         print(f"FAIL: suite {args.suite}", file=sys.stderr)
     return 0 if ok else 1
@@ -244,6 +292,8 @@ def cmd_residues(args: argparse.Namespace) -> int:
     flat = is_equidistributed(h)
     verdict = "flat" if flat else "not-flat"
     if args.format == "json":
+        import json
+
         payload = {
             "n": args.rank,
             "modulus": h.modulus,
@@ -252,15 +302,15 @@ def cmd_residues(args: argparse.Namespace) -> int:
         }
         if method is not None:
             payload["method"] = method
-        _emit(json.dumps(payload, indent=2), args.out)
+        _write([json.dumps(payload, indent=2), "\n"], args.out)
     else:
-        keys, rows = ["residue", "count"], h.counts.items()
+        keys = ["residue", "count"]
         if args.format == "csv":
-            text = _csv(keys, rows)
+            chunks = _csv(keys, _cells(h.counts.items()))
             print(f"verdict: {verdict}", file=sys.stderr)
         else:
-            text = _table(keys, rows) + f"\nverdict: {verdict}"
-        _emit(text, args.out)
+            chunks = chain(_table(keys, partial(_cells, h.counts.items())), [f"verdict: {verdict}\n"])
+        _write(chunks, args.out)
     if args.assert_flat and not flat:
         return 1
     return 0

@@ -7,6 +7,9 @@ into a 1, or the leftmost 1 is deleted; going up is the exact inverse.
 
 from __future__ import annotations
 
+from itertools import chain
+from typing import Iterator
+
 Word = tuple[int, ...]
 
 EMPTY_WORD: Word = ()
@@ -16,8 +19,11 @@ EMPTY_WORD: Word = ()
 EMPTY_TOKEN = "e"
 
 # Rank guards, kept apart because they bound different work: 2^(n//2) subset
-# products over a row of odd words, F(n+1) materialized words in a whole row.
+# products over a row of odd words, F(n+1) words walked in a whole row.
 SUBSET_MAX_RANK = 40
+# A row is made as it is read, so the row guard bounds time and output, not
+# memory: enumerate -n 24 writes its 75025 words in about 0.4 s at a 16 MiB
+# peak (jsonl, 2-core x86-64 VM).
 ROW_MAX_RANK = 24
 # The tree guard bounds output and time: about 3 * 2^(n//2) nodes, and rank 30
 # writes 70 MB of JSON in 0.25 s (43 MiB peak) or 12 MB of DOT in 0.2 s.
@@ -98,17 +104,61 @@ def covers_up(w: Word) -> set[Word]:
     return above
 
 
-def enumerate_rank(n: int) -> list[Word]:
-    """All words of rank n, exactly once, in lexicographic order (1 < 2).
+def row_size(n: int) -> int:
+    """Number of words of rank n: 1, 1, 2, 3, 5, ... (Fibonacci)."""
+    a, b = 1, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
-    Row sizes obey the Fibonacci recurrence |F(n)| = |F(n-1)| + |F(n-2)|
-    with |F(0)| = |F(1)| = 1.  Ranks above ROW_MAX_RANK are refused.
-    """
-    check_rank(n, ROW_MAX_RANK)
-    below: list[Word] = []  # row -1 is empty
+
+def _rows(n: int) -> tuple[list[Word], list[Word]]:
+    """Rows n and n - 1 as lists, by the Fibonacci recurrence; row -1 is empty."""
+    below: list[Word] = []
     row = [EMPTY_WORD]
     for _ in range(n):
         # 1-prefixed extensions of the row sort before 2-prefixed ones of
         # the row below, so lexicographic order is preserved by construction.
         below, row = row, [(1,) + w for w in row] + [(2,) + w for w in below]
-    return row
+    return row, below
+
+
+class Row:
+    """The words of one rank, in lexicographic order, made as they are read.
+
+    Split at h = n // 2: every word of rank n is a head, a word of rank
+    n - h or one of rank n - h - 1 followed by a 2, then a tail of rank h
+    or h - 1 to make up n.  The heads are prefix-free, so taking them in
+    sorted order, each followed by every tail of its row in order, walks
+    the row lexicographically.  Only the head and tail rows are kept,
+    O(F(n/2)) words; each word read costs one tuple concatenation.
+    """
+
+    __slots__ = ("_blocks", "_size")
+
+    def __init__(self, n: int) -> None:
+        h = n // 2
+        tails, short_tails = _rows(h)
+        heads, short_heads = _rows(n - h)
+        blocks = [(w, tails) for w in heads] + [(w + (2,), short_tails) for w in short_heads]
+        blocks.sort()
+        self._blocks = blocks
+        self._size = row_size(n)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[Word]:
+        return chain.from_iterable(map(head.__add__, tails) for head, tails in self._blocks)
+
+
+def enumerate_rank(n: int) -> Row:
+    """All words of rank n, exactly once, in lexicographic order (1 < 2).
+
+    The guard runs here, at the call: ranks above ROW_MAX_RANK are refused
+    before any word exists.  The row is lazy and can be walked any number
+    of times; len() is its size, |F(n)| = |F(n-1)| + |F(n-2)| with
+    |F(0)| = |F(1)| = 1.
+    """
+    check_rank(n, ROW_MAX_RANK)
+    return Row(n)

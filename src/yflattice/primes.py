@@ -9,7 +9,9 @@ of such words is a product of row sizes.
 
 from __future__ import annotations
 
-from .core import Word, check_rank, enumerate_rank, rank
+from functools import lru_cache
+
+from .core import Word, check_rank, enumerate_rank, rank, row_size
 from .fstat import f_mod
 from .residues import MODULUS_MAX_POW
 
@@ -45,14 +47,17 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _check_prime(p: int) -> None:
+# Cached, so a row scan tests its prime once and not once per word; a
+# refusal raises and is never cached.
+@lru_cache(maxsize=64)
+def check_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
 
 def is_coprime_direct(w: Word, p: int) -> bool:
     """True iff the chain count of w is not a multiple of p."""
-    _check_prime(p)
+    check_prime(p)
     return f_mod(w, p) != 0
 
 
@@ -62,24 +67,17 @@ def is_coprime_structural(w: Word, p: int) -> bool:
     Requires cut points at cumulative ranks n mod p, n mod p + p, ..., n;
     each must land on a digit boundary (a 2 straddling a cut kills the
     split).  The prefix before the first cut is the only part allowed a
-    rank below p.
+    rank below p.  One pointer walks the cuts along the prefix sums.
     """
-    _check_prime(p)
-    n = rank(w)
-    boundaries = {0}
-    acc = 0
+    check_prime(p)
+    cut, acc = rank(w) % p, 0
     for x in w:
+        if acc == cut:
+            cut += p
         acc += x
-        boundaries.add(acc)
-    return all(c in boundaries for c in range(n % p, n + 1, p))
-
-
-def _row_size(n: int) -> int:
-    """Number of words of rank n: 1, 1, 2, 3, 5, ... (Fibonacci)."""
-    a, b = 1, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+        if acc > cut:  # a 2 straddles the cut
+            return False
+    return True
 
 
 # coprime_count's row sizes and result are ints of about 0.7*n bits, built in
@@ -95,11 +93,11 @@ def coprime_count(p: int, n: int) -> int:
     rank COUNT_MAX_RANK; enumerate_rank(n) filtered by is_coprime_direct is
     its check.
     """
-    _check_prime(p)
+    check_prime(p)
     check_rank(n, COUNT_MAX_RANK)
     m, r = divmod(n, p)
     # |row p| only when needed: p may be far beyond any rank asked for
-    return _row_size(p) ** m * _row_size(r) if m else _row_size(r)
+    return row_size(p) ** m * row_size(r) if m else row_size(r)
 
 
 def residue_distribution_mod_p(n: int, p: int) -> dict[int, int]:
@@ -108,7 +106,7 @@ def residue_distribution_mod_p(n: int, p: int) -> dict[int, int]:
     Reporting only: unlike the power-of-two case these need not flatten
     out, and no verdict is attached.
     """
-    _check_prime(p)
+    check_prime(p)
     if p == 2:
         raise ValueError("p must be an odd prime; modulus 2 is covered by the power-of-two histograms")
     if p - 1 > (buckets := 1 << (MODULUS_MAX_POW - 1)):  # as many as the largest histogram mod 2^k

@@ -4,7 +4,7 @@ import json
 
 from hypothesis import given, strategies as st
 
-from yflattice import build_tree, cli, fstat, primes, residues, word_text
+from yflattice import build_tree, cli, enumerate_rank, fstat, primes, residues, word_text
 from yflattice.cli import main
 
 
@@ -149,6 +149,39 @@ def test_tree_guard_runs_before_out_is_opened(tmp_path, capsys):
         assert not target.exists()
 
 
+def test_enumerate_guard_runs_before_out_is_opened(tmp_path, capsys):
+    for argv, reason in (
+        (("-n", "25"), "guard of 24"),
+        (("-n", "5", "--filter", "coprime", "-p", "4"), "4 is not prime"),
+    ):
+        for fmt in ("table", "csv", "json", "jsonl"):
+            target = tmp_path / f"row.{fmt}"
+            code, out, err = run(capsys, "enumerate", *argv, "--format", fmt, "--out", str(target))
+            assert code == 1 and out == "" and reason in err
+            assert not target.exists()
+
+
+def test_enumerate_out_writes_the_stdout_bytes(tmp_path, capsys):
+    for fmt in ("table", "csv", "json", "jsonl"):
+        argv = ("enumerate", "-n", "9", "--filter", "coprime", "-p", "3", "--format", fmt)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        target = tmp_path / f"row.{fmt}"
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_text() == out
+
+
+def test_enumerate_json_is_the_dumped_records(capsys):
+    for n in (0, 1, 7, 12):
+        code, out, _ = run(capsys, "enumerate", "-n", str(n), "--format", "json")
+        assert code == 0
+        records = json.loads(out)
+        assert [r["word"] for r in records] == [word_text(w, empty="") for w in enumerate_rank(n)]
+        assert out == json.dumps(records, indent=2) + "\n"
+        code, out, _ = run(capsys, "enumerate", "-n", str(n), "--format", "jsonl")
+        assert out == "".join(json.dumps(r) + "\n" for r in records)
+
+
 def test_verify_main_suite(capsys):
     code, out, _ = run(capsys, "verify", "main", "-k", "3")
     assert code == 0
@@ -225,6 +258,20 @@ def test_verify_coprime_walks_each_row_once(capsys, monkeypatch):
     assert code == 0
     assert calls["f_mod"] == 232  # the words of rows 0..10: F(13) - 1
     assert calls["rows"] == list(range(11))
+
+
+def test_row_suites_report_a_disagreeing_route(capsys, monkeypatch):
+    structural, f_recursive = cli.is_coprime_structural, cli.f_recursive
+    wrong = (1, 2, 1, 2)  # one word of rank 6, deep inside the row
+    monkeypatch.setattr(cli, "is_coprime_structural", lambda w, p: structural(w, p) ^ (w == wrong))
+    monkeypatch.setattr(cli, "f_recursive", lambda w: f_recursive(w) + (w == wrong))
+    for suite, column in (("coprime", "predicates_agree"), ("oracle", "ok")):
+        code, out, err = run(capsys, "verify", suite, "-p", "3", "--max-n", "7", "--format", "json")
+        assert code == 1 and err == f"FAIL: suite {suite}\n"
+        records = json.loads(out)["records"]
+        assert [r["n"] for r in records if not r[column]] == [6]
+        if suite == "oracle":  # every word is walked, past the disagreement too
+            assert [r["words"] for r in records] == [1, 1, 2, 3, 5, 8, 13, 21]
 
 
 def test_verify_oracle(capsys):

@@ -26,6 +26,8 @@ CASES = [
     ("enumerate -n 5 --format json", 0, "f2e836149b0f4b58675940b49a55c20b6c20fda475020b1fa32f2f179c947c3d"),
     ("enumerate -n 5 --format jsonl", 0, "a427900a0960311d691b4e001be7487d2ca61cb949ae83b53c08c48d50e0b473"),
     ("enumerate -n 0", 0, "c562c4506b46df982b0f420806a9d4134b97e9f4fd5b45720228f5c32c8dfe9f"),
+    ("enumerate -n 12 --filter coprime -p 5 --format json", 0, "b0051272760d6239eb42599bd058f553d39f52d684268455ee6c95ddd1f9cec3"),
+    ("enumerate -n 13 --filter odd --format jsonl", 0, "840a2a48ffd5a7b9487ee7e9f92cb3cc2ced6dd77768be05a65675b377087f00"),
     ("tree --max-rank 7 --format dot", 0, "b83db8b90892f0d91f2da493fcb9ca609278bb6464ed3dfe353bb2ad2593cf24"),
     ("tree --max-rank 6 --f-valued --format json", 0, "2bccd8c7d0dbd43eafbbead99d069fbb2346bb4532cc82ed20810ff4b476debe"),
     ("tree --max-rank 5 --f-valued", 0, "6ff26ff32af6dc55a66711f66a0d4a2f9a770dc608501cf9109eab74bd06a508"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 from hypothesis import given, strategies as st
 import pytest
 
@@ -9,6 +11,7 @@ from yflattice import (
     rank,
     word_text,
 )
+from yflattice.core import ROW_MAX_RANK
 
 words = st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple)
 
@@ -75,9 +78,38 @@ def test_one_more_upper_cover_than_lower(w):
     assert len(covers_up(w)) == len(covers_down(w)) + 1
 
 
+def _reference_rows(max_rank):
+    """Rows 0..max_rank as lists, by the Fibonacci recurrence on whole rows."""
+    below, row = [], [()]
+    for _ in range(max_rank + 1):
+        yield row
+        below, row = row, [(1,) + w for w in row] + [(2,) + w for w in below]
+
+
 def test_enumerate_rank_sizes_are_fibonacci():
-    sizes = [len(enumerate_rank(n)) for n in range(12)]
+    sizes = [sum(1 for _ in enumerate_rank(n)) for n in range(12)]
     assert sizes == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
+    assert [len(enumerate_rank(n)) for n in range(12)] == sizes
+
+
+def test_enumerate_rank_is_the_reference_row():
+    for n, expected in enumerate(_reference_rows(ROW_MAX_RANK)):
+        row = enumerate_rank(n)
+        assert list(row) == expected
+        assert list(row) == expected  # a second walk of the same row
+        assert len(row) == len(expected)
+
+
+def test_enumerate_rank_drains_in_small_memory():
+    tracemalloc.start()
+    try:
+        for _ in enumerate_rank(22):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the list of row 22 alone held 10.4 MiB
+    assert peak < 1 << 20
 
 
 def test_enumerate_rank_known_row():
@@ -87,7 +119,7 @@ def test_enumerate_rank_known_row():
 def test_enumerate_rank_sorted_and_unique():
     for n in range(9):
         row = enumerate_rank(n)
-        assert row == sorted(set(row))
+        assert list(row) == sorted(set(row))
         assert all(rank(w) == n for w in row)
 
 
@@ -106,4 +138,4 @@ def test_enumerate_rank_rejects_negative():
 def test_enumerate_rank_refuses_past_row_guard():
     # rank 25 would hold 121393 words; rank 40 would hold 165580141
     with pytest.raises(ValueError, match="^rank 25 exceeds the guard of 24$"):
-        enumerate_rank(25)
+        enumerate_rank(25)  # at the call, not at the first word read

@@ -11,6 +11,7 @@ from yflattice import (
     is_prime,
     residue_distribution_mod_p,
 )
+from yflattice import primes
 
 words = st.lists(st.sampled_from([1, 2]), max_size=14).map(tuple)
 small_primes = st.sampled_from([2, 3, 5, 7, 11])
@@ -53,6 +54,33 @@ def test_is_coprime_structural_known():
 @given(words, small_primes)
 def test_structural_equals_direct(w, p):
     assert is_coprime_structural(w, p) == is_coprime_direct(w, p)
+
+
+@given(st.lists(st.sampled_from([1, 2]), max_size=60).map(tuple), st.sampled_from([2, 3, 5, 7, 11, 13, 31, 61]))
+def test_structural_pointer_walk_equals_direct_on_long_words(w, p):
+    assert is_coprime_structural(w, p) == is_coprime_direct(w, p)
+
+
+def test_each_prime_is_tested_once_per_scan(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return is_prime(p)
+
+    primes.check_prime.cache_clear()
+    monkeypatch.setattr(primes, "is_prime", counted)
+    for n in range(11):
+        for w in enumerate_rank(n):
+            assert is_coprime_structural(w, 3) == is_coprime_direct(w, 3)
+    assert calls == [3]
+    for _ in range(2):  # a refusal is never cached
+        with pytest.raises(ValueError, match="^9 is not prime$"):
+            is_coprime_direct((2,), 9)
+        with pytest.raises(ValueError, match="^9 is not prime$"):
+            is_coprime_structural((2,), 9)
+    assert calls == [3, 9, 9, 9, 9]
+    primes.check_prime.cache_clear()
 
 
 @given(words)
