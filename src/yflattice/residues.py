@@ -2,23 +2,30 @@
 
 The chain counts over the odd words of rank n form the multiset of subset
 products of {1, 3, ..., 2*(n//2) - 1}.  This module builds their histograms
-mod 2^k two ways (per-subset enumeration and a bucket convolution), decides
+mod 2^k two ways (per-subset enumeration and a convolution), decides
 flatness, and returns the row-threshold and one-step verdicts as the very
 records `yflattice verify main`/`one-step` print.
 
-The convolution indexes its buckets by discrete log: every odd residue mod
-2^k is (-1)^s * 5^e, so the (n//2) folds are each a rotation of two bucket
-lists plus 2^(k-1) C-level adds.  One walk over consecutive rows, _walk,
-makes every fold: it serves the single histogram, the threshold scan and
-the step law alike.
+Every odd residue mod 2^k is (-1)^s * 5^e, so a histogram is an element of
+the group ring Z[C2 x C_L], L = 2^(k-2), and folding in a factor c
+multiplies it by 1 + c.  The convolution folds in the ring's components
+rather than in the 2^(k-1) buckets: the sign splits each histogram into two
+halves, x^L - 1 = (x - 1)(x + 1)(x^2 + 1)...(x^(L/2) + 1) splits each half
+into Z and the rings Z[x]/(x^D + 1), and there a factor is a (nega)cyclic
+rotation plus one C-level add per coefficient.  A component that the factor
+sends to 0 stays 0 and is dropped, and outside the trivial component (the
+row size) the coefficients stay near 200 bits at k = 13, where the bucket
+counts reach 2038.  One walk over consecutive rows, _walk, makes every fold
+and reads each row's histogram back exactly: it serves the single
+histogram, the threshold scan and the step law alike.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import pairwise
-from operator import add
+from itertools import pairwise, repeat, starmap
+from operator import add, lshift, rshift, sub
 from typing import Any, Iterable, Iterator
 
 from .core import SUBSET_MAX_RANK, check_rank
@@ -42,8 +49,8 @@ def _subset_products(factors: Iterable[int], m: int | None = None) -> list[int]:
 
 
 # A histogram mod 2^k holds 2^(k-1) buckets: residues -n 10 -k 20 peaks at
-# about 97 MiB as a table or CSV and 141-143 MiB as JSON, verify one-step -k 20
-# --max-n 4 at about 183 MiB (2-core x86-64 VM), and each further step of k
+# about 101 MiB as a table or CSV and 149 MiB as JSON, verify one-step -k 20
+# --max-n 4 at about 186 MiB (2-core x86-64 VM), and each further step of k
 # doubles that.
 MODULUS_MAX_POW = 20
 
@@ -76,10 +83,12 @@ def residue_histogram_enum(n: int, k: int) -> ResidueHistogram:
     return ResidueHistogram(m, {r: tally.get(r, 0) for r in range(1, m, 2)})
 
 
-# The bucket DP for row n mod 2^k folds n//2 factors into 2^(k-1) buckets
-# whose counts grow to about n//2 bits, so its work is W = (n//2)^2 * 2^(k-1).
-# On a 2-core x86-64 VM the threshold row 2^(k-1)+2 took 0.7-0.8 s at k = 13
-# (W ~ 2^34), 4.0-5.0 s at k = 14 (2^37) and 29-37 s at k = 15 (2^40).
+# The guard charges row n mod 2^k the work W = (n//2)^2 * 2^(k-1) of a bucket
+# DP: n//2 folds over 2^(k-1) counts of up to n//2 bits.  The component fold
+# makes fewer adds, on coefficients of a few hundred bits, but W still bounds
+# it.  On a 2-core x86-64 VM the threshold row 2^(k-1)+2 takes 0.5 s at
+# k = 13 (W ~ 2^34), 2.0 s at k = 14 (2^37) and 8.9 s at k = 15 (2^40, past
+# the guard), against 1.0 s, 6.1 s and 29-37 s for the bucket DP.
 DP_MAX_WORK = 1 << 38
 
 
@@ -90,9 +99,6 @@ def _check_dp_work(n: int, k: int) -> None:
             f"bucket DP work (n//2)^2 * 2^(k-1) = {work} for row {n} mod 2^{k} "
             f"exceeds the guard of {DP_MAX_WORK}"
         )
-
-
-Buckets = tuple[list[int], list[int]]
 
 
 def _dlog(k: int) -> list[int]:
@@ -113,27 +119,71 @@ def _dlog(k: int) -> list[int]:
     return dlog
 
 
-def _fold(buckets: Buckets, c: int, dlog: list[int]) -> Buckets:
+# A histogram in components: key (y, t, d) holds, as d coefficients, its image
+# in Z[x]/(x^d - (-1)^t) on the half where the sign -1 acts as (-1)^y.  A
+# component missing from the dict is 0.
+Components = dict[tuple[int, int, int], list[int]]
+
+
+def _unit(size: int) -> Components:
+    """The empty product, residue 1 = 5^0, in every component.
+
+    Each half splits by x^L - 1 = (x - 1)(x + 1)(x^2 + 1)...(x^(L/2) + 1).
+    """
+    rings = [(0, 1)] + [(1, 1 << j) for j in range(size.bit_length() - 1)]
+    return {(y, t, d): [1] + [0] * (d - 1) for y in (0, 1) for t, d in rings}
+
+
+def _fold(state: Components, c: int, dlog: list[int]) -> Components:
     """Fold one factor c = (-1)^s * 5^e: each subset skips c or takes it.
 
-    Taking c sends bucket (t, j) to (t ^ s, j + e), so both lists rotate by
-    e and swap when s = 1.
+    In component (y, t, d) that multiplies by 1 + (-1)^(s*y) x^e, and x^e is
+    x^(e mod d) up to a sign: a (nega)cyclic rotation and one C-level add or
+    sub per coefficient.  Where the factor reduces to 1 - x^0 the component
+    is 0 from then on and leaves the dict.
     """
-    plus, minus = buckets
-    s, e = divmod(dlog[(c >> 1) % len(dlog)], len(plus))  # (c mod 2^k) >> 1
-    cut = len(plus) - e
-    taken = plus[cut:] + plus[:cut], minus[cut:] + minus[:cut]
-    if s:
-        taken = taken[::-1]
-    return list(map(add, plus, taken[0])), list(map(add, minus, taken[1]))
+    s, e = divmod(dlog[(c >> 1) % len(dlog)], max(1, len(dlog) >> 1))  # (c mod 2^k) >> 1
+    folded = {}
+    for (y, t, d), a in state.items():
+        r = e % d
+        neg = (s & y) ^ (t & (e // d))  # x^e = (-1)^(t * (e // d)) x^r in this ring
+        if r == 0 and neg:
+            continue
+        keep, wrap = (sub if neg else add), (sub if neg ^ t else add)
+        folded[y, t, d] = [*map(wrap, a[:r], a[d - r :]), *map(keep, a[r:], a[: d - r])]
+    return folded
+
+
+def _read_back(state: Components, size: int) -> list[int]:
+    """The counts of the histogram in state, exactly, indexed by discrete log.
+
+    Each half comes back up the factorization of x^L - 1, L = size, by the
+    butterfly (u, v) -> (u + v, u - v), the level-j part v shifted left by j
+    so that nothing is halved on the way; the two halves meet in one more
+    butterfly and one exact right shift.
+    """
+    halves = []
+    for y in (0, 1):
+        a = state.get((y, 0, 1), [0])
+        for j in range(size.bit_length() - 1):
+            v = state.get((y, 1, 1 << j))
+            if v is None:  # a dead component: v = 0, so both halves are u
+                a = a * 2
+            else:
+                v = list(map(lshift, v, repeat(j)))
+                a = [*map(add, a, v), *map(sub, a, v)]
+        halves.append(a)
+    shift = repeat(size.bit_length())
+    return [*map(rshift, map(add, *halves), shift), *map(rshift, map(sub, *halves), shift)]
 
 
 def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, ResidueHistogram]]:
     """Rows n through last with their histograms mod 2^k, in one pass.
 
     Every guard runs before the first fold, the last row bounding the DP
-    work.  Row n folds its own factors into the unit buckets; each later row
-    folds in only the factors the row before it lacks.  All rows share one
+    work.  Row n folds its own factors into the unit components; each later
+    row folds in only the factors the row before it lacks, and each row is
+    read back from the components on its own.  All rows share one
     discrete-log table and one list of residue keys.
     """
     _check_modulus_pow(k)
@@ -142,23 +192,22 @@ def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, ResidueHistogram]]:
     dlog = _dlog(k)
     keys = list(range(1, 1 << k, 2))
     size = max(1, len(dlog) // 2)
-    buckets = [1] + [0] * (size - 1), [0] * size  # the empty product: residue 1 = 5^0
+    state = _unit(size)
     folded = 0
     for row in range(n, last + 1):
         factors = _row_factors(row)
         for c in factors[folded:]:
-            buckets = _fold(buckets, c, dlog)
+            state = _fold(state, c, dlog)
         folded = len(factors)
-        flat = buckets[0] + buckets[1]
-        yield row, ResidueHistogram(1 << k, dict(zip(keys, map(flat.__getitem__, dlog))))
+        yield row, ResidueHistogram(1 << k, dict(zip(keys, map(_read_back(state, size).__getitem__, dlog))))
 
 
 def residue_histogram_dp(n: int, k: int) -> ResidueHistogram:
-    """Same histogram as residue_histogram_enum, by bucket convolution.
+    """Same histogram as residue_histogram_enum, by convolution in components.
 
-    Makes (n//2) folds, each a rotation of the discrete-log bucket lists
-    plus 2^(k-1) C-level adds, instead of walking 2^(n//2) subsets.  Refused
-    above DP_MAX_WORK before any fold.
+    Makes (n//2) folds, each at most 2^(k-1) C-level adds over the live
+    components, and one exact read-back, instead of walking 2^(n//2)
+    subsets.  Refused above DP_MAX_WORK before any fold.
     """
     return next(_walk(k, n, n))[1]
 
@@ -193,17 +242,20 @@ def _stepped(h: ResidueHistogram, n: int) -> ResidueHistogram:
 def verify_main_theorem(k: int, n_extra: int) -> list[dict[str, Any]]:
     """Flatness records mod 2^k for rows 2^(k-1)+2 through 2^(k-1)+2+n_extra.
 
-    The rows come from one _walk starting at the threshold row.  Every
-    record, {"check": "flat-row", "k", "n", "ok"}, must have ok true.
+    The rows come from one _walk starting at the threshold row, through
+    starmap so that no row's histogram is still held while the next is read
+    back.  Every record, {"check": "flat-row", "k", "n", "ok"}, must have ok
+    true.
     """
     _check_modulus_pow(k)
     if n_extra < 0:
         raise ValueError("n_extra must be nonnegative")
     start = (1 << (k - 1)) + 2
-    return [
-        {"check": "flat-row", "k": k, "n": n, "ok": is_equidistributed(h)}
-        for n, h in _walk(k, start, start + n_extra)
-    ]
+
+    def record(n: int, h: ResidueHistogram) -> dict[str, Any]:
+        return {"check": "flat-row", "k": k, "n": n, "ok": is_equidistributed(h)}
+
+    return list(starmap(record, _walk(k, start, start + n_extra)))
 
 
 def verify_one_step(k: int, n_max: int) -> list[dict[str, Any]]:

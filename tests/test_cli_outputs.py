@@ -42,6 +42,8 @@ CASES = [
     ("residues -n 7 -k 3 --format json", 0, "746333ae5ed3a17da8c3e0c96bf51b455d7fd9b2e39db9bc8a75c50ea9fb852c"),
     ("residues -n 11 -k 4 --method enum --format json", 0, "5050a4896aec953bdc96abab01306cdea44774609ee2dd507a24ae184f2c9c05"),
     ("residues -n 5 -k 3 --assert", 1, "01ecb4b2dcc8729eb4336a54fa0e2acef21440e9abbf325b53d930a18a1a384f"),
+    ("residues -n 200 -k 9 --format json", 0, "c7d4297b5a97b625b827402d011d3f9a36ab6e0a462f03f12585796ec27ee570"),
+    ("residues -n 1000 -k 12 --format csv", 0, "dbdd93c946ad0705c063cb5574bd74aee48c5eb0328b75eff2f83cb59e4651f9"),
     ("residues -n 8 -p 5 --format csv", 0, "748665a24e9ccc368bfade0dbc507842304eae1551998ff7bc3d3b506db75617"),
     ("residues -n 7 -p 5 --format json", 0, "41167cbcacee3a1caf286129a2b3c60bb49b0b61877e88117c4115a25bfa84f7"),
     ("verify main -k 5 --n-extra 10", 0, "14765ddffd202fdfa6766d7a1daf37b1102cfa5eff5f81a502857f7872cce324"),
@@ -54,6 +56,7 @@ CASES = [
     ("verify main -k 4 --n-extra 3 --format jsonl", 0, "1ac4387185642e3b9c4c7e7b8a86b00f76477e770039fd68f3779aff642fb05f"),
     ("verify one-step -k 3 --max-n 12 --format csv", 0, "b4ca544f3ccb380fa613688f2e2729023a92afbc6375dd0a96967e3c4ba560c3"),
     ("verify one-step -k 3 --max-n 12 --format json", 0, "5d1229954d36de8635b7cd2211c6066e9f7f1988c76694c4512114c8f68c5d12"),
+    ("verify one-step -k 8 --max-n 200 --format json", 0, "3f926502c98904821e85496e79b4ba36d6a4ab760c764d7198b1e694ee67cfc8"),
     ("verify one-step -k 2 --max-n 6 --format jsonl", 0, "e942f175c173b74a58af4330e5bd8f503a5a073911e895d609546de02b68a468"),
     ("verify pi-row --max-n 6 --format csv", 0, "2cf541f99492f92d7953b359a061d718d4b4d46e2fc6670a1a4044c573130c7e"),
     ("verify pi-row --max-n 6 --format json", 0, "93f13cef45948ab7e6ad2f31b5466215c5779d83063c80e9b14f0d2832b700c1"),
