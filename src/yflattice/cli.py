@@ -13,12 +13,12 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import EMPTY_TOKEN, ROW_MAX_RANK, SUBSET_MAX_RANK, Word, check_rank, enumerate_rank, word_text
 from .fstat import f_product, f_recursive
-from .macdonald import f_valued_row, is_odd_word, tree_rows
+from .macdonald import f_valued_rows, is_odd_word, tree_rows
 from .primes import check_prime, coprime_count, is_coprime_direct, is_coprime_structural, residue_distribution_mod_p
 from .residues import (
     ResidueHistogram,
     is_equidistributed,
-    pi_multiset,
+    pi_rows,
     residue_histogram_dp,
     residue_histogram_enum,
     verify_main_theorem,
@@ -56,16 +56,22 @@ def _cells(rows: Iterable[Iterable[Any]]) -> Iterator[Iterable[str]]:
     return (map(_cell, row) for row in rows)
 
 
-def _table(keys: Sequence[str], rows: Callable[[], Iterable[Iterable[str]]]) -> Iterator[str]:
-    """Aligned columns of text cells, line by line.
-
-    rows() is walked twice, for the widths, then the lines.
-    """
+def _widths(keys: Sequence[str], rows: Iterable[Iterable[str]]) -> list[int]:
+    """Each column's width: its longest cell's or its key's length."""
     widths = list(map(len, keys))
-    for row in rows():
+    for row in rows:
         widths = list(map(max, widths, map(len, row)))
+    return widths
+
+
+def _table(keys: Sequence[str], widths: Sequence[int], rows: Iterable[Iterable[str]]) -> Iterator[str]:
+    """Aligned columns of text cells, line by line, each column widths[i] wide.
+
+    Every line is stripped on the right, so the last column's width never
+    shows.
+    """
     yield "  ".join(map(str.ljust, keys, widths)).rstrip() + "\n"
-    for row in rows():
+    for row in rows:
         yield "  ".join(map(str.ljust, row, widths)).rstrip() + "\n"
 
 
@@ -78,8 +84,11 @@ def _csv(keys: Sequence[str], rows: Iterable[Iterable[str]]) -> Iterator[str]:
 def _records(records: list[dict[str, Any]], fmt: str, ok: bool) -> Iterator[str]:
     if fmt in ("table", "csv"):
         keys = list(records[0]) if records else []
-        cells = partial(_cells, [r.values() for r in records])
-        yield from _csv(keys, cells()) if fmt == "csv" else _table(keys, cells)
+        rows = [r.values() for r in records]
+        if fmt == "csv":
+            yield from _csv(keys, _cells(rows))
+        else:
+            yield from _table(keys, _widths(keys, _cells(rows)), _cells(rows))
         return
     import json  # only where JSON is written: --help, tables and csv never load it
 
@@ -90,6 +99,20 @@ def _records(records: list[dict[str, Any]], fmt: str, ok: bool) -> Iterator[str]
 
 
 _ENUMERATE_KEYS = ("word", "rank", "f", "odd")
+
+
+def _enumerate_widths(words: Iterable[Word], n: str) -> list[int]:
+    """The enumerate table's column widths, from one walk that makes no record.
+
+    A word's text is as long as the word, or as the empty word's token, and
+    the widest count is the largest.  The odd column is last, so its width
+    is left at its key's (see _table).
+    """
+    longest = top = 0
+    for w in words:
+        longest = max(longest, len(w) or len(EMPTY_TOKEN))
+        top = max(top, f_product(w))
+    return list(map(max, map(len, _ENUMERATE_KEYS), (longest, len(n), len(str(top)), 0)))
 
 
 def _enumerate_json(records: Iterable[tuple[str, str, str, str]]) -> Iterator[str]:
@@ -118,8 +141,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     n = str(args.rank)
     empty = "" if args.format in ("json", "jsonl") else EMPTY_TOKEN
 
+    def words() -> Iterable[Word]:
+        return row if keep is None else filter(keep, row)
+
     def records() -> Iterator[tuple[str, str, str, str]]:
-        for w in row if keep is None else filter(keep, row):
+        for w in words():
             yield word_text(w, empty), n, str(f_product(w)), "true" if is_odd_word(w) else "false"
 
     if args.format == "json":
@@ -129,7 +155,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         chunks = _csv(_ENUMERATE_KEYS, records())
     else:
-        chunks = _table(_ENUMERATE_KEYS, records)
+        chunks = _table(_ENUMERATE_KEYS, _enumerate_widths(words(), n), records())
     _write(chunks, args.out)
     return 0
 
@@ -195,20 +221,20 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _suite_pi_row(args: argparse.Namespace) -> list[dict[str, Any]]:
+    """One pi-row record per row 0..max-n, from two walks zipped row by row.
+
+    residues.pi_rows grows each row's subset products from the row before;
+    macdonald.f_valued_rows folds the tree's branching rule on the way up.
+    Neither reads the other.  Their rows are compared by dict equality, in
+    C: neither stores a zero count, so it agrees with Counter's ==.
+    """
     check_rank(args.max_n, SUBSET_MAX_RANK)
-
-    def check(n: int) -> dict[str, Any]:
-        products = pi_multiset(n)
+    records = []
+    for (n, products), (_, f_values) in zip(pi_rows(args.max_n), f_valued_rows(args.max_n)):
         size = sum(products.values())
-        match = products == f_valued_row(n)
-        return {
-            "check": "pi-row",
-            "n": n,
-            "cardinality": size,
-            "ok": match and size == 1 << (n // 2),
-        }
-
-    return [check(n) for n in range(args.max_n + 1)]
+        match = dict.__eq__(products, f_values)
+        records.append({"check": "pi-row", "n": n, "cardinality": size, "ok": match and size == 1 << (n // 2)})
+    return records
 
 
 def _suite_coprime(args: argparse.Namespace) -> list[dict[str, Any]]:
@@ -309,7 +335,8 @@ def cmd_residues(args: argparse.Namespace) -> int:
             chunks = _csv(keys, _cells(h.counts.items()))
             print(f"verdict: {verdict}", file=sys.stderr)
         else:
-            chunks = chain(_table(keys, partial(_cells, h.counts.items())), [f"verdict: {verdict}\n"])
+            rows = h.counts.items()
+            chunks = chain(_table(keys, _widths(keys, _cells(rows)), _cells(rows)), [f"verdict: {verdict}\n"])
         _write(chunks, args.out)
     if args.assert_flat and not flat:
         return 1

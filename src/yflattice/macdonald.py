@@ -9,7 +9,7 @@ odd-rank node w = 1v has the two children 11v and 2v.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterator
@@ -98,18 +98,26 @@ def build_tree(max_rank: int) -> MacdonaldTree:
     return MacdonaldTree(rows[0][0], max_rank)
 
 
-def f_valued_row(n: int) -> Counter[int]:
-    """Multiset of chain counts over the odd words of rank n.
+def f_valued_rows(last: int) -> Iterator[tuple[int, Counter[int]]]:
+    """Rows 0 through last with their multisets of chain counts, in one pass.
 
     Folds in the tree's branching rule, one distinct value per key: at each
-    odd rank r < n every label is kept (11v) and label * r is added (2v).
-    Even ranks add nothing, so rows 2m and 2m+1 agree.
+    odd rank r every label is kept (11v) and label * r is added (2v), once
+    on the way up.  Even ranks add nothing, so rows 2m and 2m+1 are the
+    same Counter.  The guard runs before the first fold.
     """
-    check_rank(n, SUBSET_MAX_RANK)
+    check_rank(last, SUBSET_MAX_RANK)
     row = Counter({1: 1})
-    for r in range(1, n, 2):
-        grown = Counter(row)
-        for f, count in row.items():
-            grown[f * r] += count
-        row = grown
-    return row
+    for n in range(last + 1):
+        if n % 2 == 0 and n:
+            r = n - 1
+            grown = Counter(row)
+            for f, count in row.items():
+                grown[f * r] += count
+            row = grown
+        yield n, row
+
+
+def f_valued_row(n: int) -> Counter[int]:
+    """Multiset of chain counts over the odd words of rank n: the last row of f_valued_rows(n)."""
+    return deque(f_valued_rows(n), maxlen=1)[0][1]  # the walk's guard runs here, at the call

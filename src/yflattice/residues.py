@@ -22,10 +22,10 @@ histogram, the threshold scan and the step law alike.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import pairwise, repeat, starmap
-from operator import add, lshift, rshift, sub
+from operator import add, lshift, mul, rshift, sub
 from typing import Any, Iterable, Iterator
 
 from .core import SUBSET_MAX_RANK, check_rank
@@ -279,11 +279,36 @@ def verify_one_step(k: int, n_max: int) -> list[dict[str, Any]]:
     return records
 
 
+def pi_rows(last: int) -> Iterator[tuple[int, Counter[int]]]:
+    """Rows 0 through last with their multisets of subset products, in one pass.
+
+    The product list doubles once per factor a row adds to the row before
+    it, and only the new products are tallied, so rows 2m and 2m + 1 share
+    their work.  The last row's last factor is only tallied: no later row
+    reads its products.  The guard runs before the first product.  Each row
+    yields the one tally, which the next row grows in place: read a row
+    before asking for the next.
+    """
+    check_rank(last, SUBSET_MAX_RANK)
+    top = max(_row_factors(last), default=None)
+    prods, tally, folded = [1], Counter({1: 1}), 0
+    for n in range(last + 1):
+        factors = _row_factors(n)
+        for c in factors[folded:]:
+            new = map(mul, prods, repeat(c))
+            if c != top:
+                new = list(new)
+                prods += new
+            tally.update(new)
+        folded = len(factors)
+        yield n, tally
+
+
 def pi_multiset(n: int) -> Counter[int]:
     """Multiset of products of distinct odd factors attached to row n.
 
     The factors are 1, 3, ..., 2*(n//2) - 1, one subset per product, empty
-    product included; as a multiset this equals f_valued_row(n).
+    product included; as a multiset this equals f_valued_row(n).  The last
+    row of pi_rows(n).
     """
-    check_rank(n, SUBSET_MAX_RANK)
-    return Counter(_subset_products(_row_factors(n)))
+    return deque(pi_rows(n), maxlen=1)[0][1]  # the walk's guard runs here, at the call

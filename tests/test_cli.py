@@ -217,9 +217,17 @@ def test_verify_pi_row(capsys, monkeypatch):
     assert code == 0
     # mutation: every odd integer up to n as the factor set breaks odd rows
     monkeypatch.setattr(residues, "_row_factors", lambda n: range(1, n + 1, 2))
-    code, _, err = run(capsys, "verify", "pi-row", "--max-n", "8")
+    code, out, err = run(capsys, "verify", "pi-row", "--max-n", "8", "--format", "json")
     assert code == 1
-    assert "FAIL" in err
+    assert "FAIL: suite pi-row" in err
+    assert [r["n"] for r in json.loads(out)["records"] if not r["ok"]] == [1, 3, 5, 7]
+    # mutation: the right number of factors, shifted by one, fails on the values alone
+    monkeypatch.setattr(residues, "_row_factors", lambda n: range(3, 2 * (n // 2) + 2, 2))
+    code, out, err = run(capsys, "verify", "pi-row", "--max-n", "6", "--format", "json")
+    records = json.loads(out)["records"]
+    assert code == 1 and "FAIL: suite pi-row" in err
+    assert all(r["cardinality"] == 1 << (r["n"] // 2) for r in records)
+    assert [r["n"] for r in records if not r["ok"]] == [2, 3, 4, 5, 6]
 
 
 def test_verify_coprime_json(capsys):
@@ -308,8 +316,8 @@ def test_verify_coprime_guard_before_rows(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "enumerate_rank", refuse)
     monkeypatch.setattr(primes, "enumerate_rank", refuse)
-    monkeypatch.setattr(cli, "pi_multiset", refuse)
-    monkeypatch.setattr(cli, "f_valued_row", refuse)
+    monkeypatch.setattr(cli, "pi_rows", refuse)
+    monkeypatch.setattr(cli, "f_valued_rows", refuse)
     for argv, guard in (
         (("coprime", "-p", "3", "--max-n", "25"), "guard of 24"),
         (("pi-row", "--max-n", "41"), "guard of 40"),

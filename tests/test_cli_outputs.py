@@ -28,6 +28,8 @@ CASES = [
     ("enumerate -n 0", 0, "c562c4506b46df982b0f420806a9d4134b97e9f4fd5b45720228f5c32c8dfe9f"),
     ("enumerate -n 12 --filter coprime -p 5 --format json", 0, "b0051272760d6239eb42599bd058f553d39f52d684268455ee6c95ddd1f9cec3"),
     ("enumerate -n 13 --filter odd --format jsonl", 0, "840a2a48ffd5a7b9487ee7e9f92cb3cc2ced6dd77768be05a65675b377087f00"),
+    ("enumerate -n 12", 0, "b092e9be75923bfc1743607d6e2ba5dd8ac0813ed35c2c421116d39cd01f0e5c"),
+    ("enumerate -n 11 --filter odd", 0, "ecffd9547c89355ce0585cf59a98ede486a167fb162e8a94ed8735b5f146590c"),
     ("tree --max-rank 7 --format dot", 0, "b83db8b90892f0d91f2da493fcb9ca609278bb6464ed3dfe353bb2ad2593cf24"),
     ("tree --max-rank 6 --f-valued --format json", 0, "2bccd8c7d0dbd43eafbbead99d069fbb2346bb4532cc82ed20810ff4b476debe"),
     ("tree --max-rank 5 --f-valued", 0, "6ff26ff32af6dc55a66711f66a0d4a2f9a770dc608501cf9109eab74bd06a508"),
@@ -61,6 +63,7 @@ CASES = [
     ("verify pi-row --max-n 6 --format csv", 0, "2cf541f99492f92d7953b359a061d718d4b4d46e2fc6670a1a4044c573130c7e"),
     ("verify pi-row --max-n 6 --format json", 0, "93f13cef45948ab7e6ad2f31b5466215c5779d83063c80e9b14f0d2832b700c1"),
     ("verify pi-row --max-n 6 --format jsonl", 0, "6fe185420a83dafcef1d8b5660ac985d9768aada0c18a15e8e30a6c89c704ae3"),
+    ("verify pi-row --max-n 36 --format json", 0, "b0b49ab88be2b25b8b8444276e1e89958b9a4f32aefec4fe772e4713504b9c1f"),
     ("verify coprime --max-n 6 -p 3 --format csv", 0, "3c24d6ea603d3a556ff679409f962156ec38e0343f655f3fb8ff71f50ba00d92"),
     ("verify coprime --max-n 6 -p 3 --format json", 0, "e94bb751e58f7e1b2a63d77b6ae5e12d2f95160382e1dbf181c0ac8b9c8cad09"),
     ("verify coprime --max-n 5 --format jsonl", 0, "75d0a5d3b36001ce8b81a754946a0f7dcc51e460e869fb1a14296fdef2e4c566"),

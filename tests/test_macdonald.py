@@ -1,8 +1,9 @@
 from collections import Counter
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 import pytest
 
+from yflattice import macdonald
 from yflattice import (
     build_tree,
     covers_up,
@@ -158,6 +159,26 @@ def test_f_valued_row_guard():
 @given(st.integers(min_value=0, max_value=15))
 def test_f_valued_row_pairs(m):
     assert f_valued_row(2 * m + 1) == f_valued_row(2 * m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=24))
+def test_f_valued_rows_are_fresh_rows(last):
+    # read one row at a time, as the walk asks; the tree's rows are the reference
+    n = -1
+    for (n, row), nodes in zip(macdonald.f_valued_rows(last), tree_rows(last), strict=True):
+        assert row == f_valued_row(n) == Counter(f for _, f in nodes)
+        assert 0 not in row.values()
+    assert n == last
+
+
+def test_f_valued_rows_guard_before_any_row(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a row built before the guard")
+
+    monkeypatch.setattr(macdonald, "Counter", refuse)
+    with pytest.raises(ValueError, match="guard of 40"):
+        next(macdonald.f_valued_rows(41))
 
 
 def _levels(node):

@@ -297,3 +297,23 @@ def test_pi_multiset_guards():
         pi_multiset(-1)
     with pytest.raises(ValueError):
         pi_multiset(41)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=24))
+def test_pi_rows_are_fresh_rows(last):
+    # read one row at a time, as the walk asks; the list route is the reference
+    n = -1
+    for n, products in residues.pi_rows(last):
+        assert products == pi_multiset(n) == Counter(residues._subset_products(range(1, 2 * (n // 2), 2)))
+        assert 0 not in products.values()
+    assert n == last
+
+
+def test_pi_rows_guard_before_any_product(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factors of row {n} taken before the guard")
+
+    monkeypatch.setattr(residues, "_row_factors", refuse)
+    with pytest.raises(ValueError, match="guard of 40"):
+        next(residues.pi_rows(41))
