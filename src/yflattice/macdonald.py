@@ -10,9 +10,8 @@ odd-rank node w = 1v has the two children 11v and 2v.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import EMPTY_WORD, SUBSET_MAX_RANK, TREE_MAX_RANK, Word, check_rank, rank, word_text
 
@@ -64,15 +63,13 @@ def tree_rows(max_rank: int) -> Iterator[list[tuple[Word, int]]]:
     return accumulate(range(max_rank), _branch, initial=[(EMPTY_WORD, 1)])
 
 
-@dataclass
-class MacdonaldNode:
+class MacdonaldNode(NamedTuple):
     word: Word
     f: int
-    children: list["MacdonaldNode"] = field(default_factory=list)
+    children: list["MacdonaldNode"]
 
 
-@dataclass
-class MacdonaldTree:
+class MacdonaldTree(NamedTuple):
     root: MacdonaldNode
     max_rank: int
 
@@ -87,15 +84,15 @@ class MacdonaldTree:
 def build_tree(max_rank: int) -> MacdonaldTree:
     """Materialize the Macdonald tree of odd words up to the given rank.
 
-    One node per pair of `tree_rows`, linked to its children by the rows'
-    layout: one child per node below an even rank, two below an odd rank.
+    One node per pair of `tree_rows`, made in one pass from the top row
+    down to the root: each node takes as its children its slice of the row
+    above, one node per parent below an even rank, two below an odd rank.
     """
-    rows = [[MacdonaldNode(w, f) for w, f in row] for row in tree_rows(max_rank)]
-    for r, (row, grown) in enumerate(zip(rows, rows[1:])):
+    above: list[MacdonaldNode] = []
+    for r, row in reversed(list(enumerate(tree_rows(max_rank)))):
         width = 1 + r % 2
-        for i, node in enumerate(row):
-            node.children = grown[width * i : width * (i + 1)]
-    return MacdonaldTree(rows[0][0], max_rank)
+        above = [MacdonaldNode(w, f, above[width * i : width * (i + 1)]) for i, (w, f) in enumerate(row)]
+    return MacdonaldTree(above[0], max_rank)
 
 
 def f_valued_rows(last: int) -> Iterator[tuple[int, Counter[int]]]:

@@ -23,10 +23,9 @@ histogram, the threshold scan and the step law alike.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import pairwise, repeat, starmap
 from operator import add, lshift, mul, rshift, sub
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .core import SUBSET_MAX_RANK, check_rank
 
@@ -62,8 +61,7 @@ def _check_modulus_pow(k: int) -> None:
         raise ValueError(f"modulus exponent {k} exceeds the guard of {MODULUS_MAX_POW}")
 
 
-@dataclass
-class ResidueHistogram:
+class ResidueHistogram(NamedTuple):
     """Counts of residues mod `modulus`: the odd ones mod 2^k, the nonzero ones mod a prime."""
 
     modulus: int

@@ -133,9 +133,11 @@ def test_tree_rows_guard_runs_at_the_call():
         tree_rows(-1)
 
 
-def test_tree_rows_are_the_build_tree_rows():
-    rows = list(tree_rows(9))
-    assert rows == [[(node.word, node.f) for node in row] for row in build_tree(9).rows()]
+@pytest.mark.parametrize("max_rank", range(13))
+def test_tree_rows_are_the_build_tree_rows(max_rank):
+    built = build_tree(max_rank).rows()
+    assert list(tree_rows(max_rank)) == [[(node.word, node.f) for node in row] for row in built]
+    assert all(node.children == [] for node in built[-1])
 
 
 def test_f_valued_row_known():

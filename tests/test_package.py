@@ -1,5 +1,7 @@
-"""The package's export list: no stale or missing names."""
+"""The package's export list: no stale or missing names; its import footprint."""
 
+import subprocess
+import sys
 from types import ModuleType
 
 import yflattice
@@ -22,3 +24,11 @@ def test_star_import_runs():
     namespace: dict = {}
     exec("from yflattice import *", namespace)
     assert set(yflattice.__all__) <= namespace.keys()
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # The before/after difference, so modules a site hook loaded first do not count.
+    probe = "import sys; before = set(sys.modules); import yflattice.cli; print(*sorted(set(sys.modules) - before))"
+    added = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout.split()
+    assert "yflattice.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)
