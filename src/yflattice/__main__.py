@@ -1,3 +1,3 @@
-from .cli import main_exit
+from .cli import main
 
-main_exit()
+raise SystemExit(main())

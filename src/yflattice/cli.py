@@ -81,21 +81,18 @@ def _csv(keys: Sequence[str], rows: Iterable[Iterable[str]]) -> Iterator[str]:
         yield ",".join(row) + "\n"
 
 
-def _records(records: list[dict[str, Any]], fmt: str, ok: bool) -> Iterator[str]:
-    if fmt in ("table", "csv"):
-        keys = list(records[0]) if records else []
-        rows = [r.values() for r in records]
-        if fmt == "csv":
-            yield from _csv(keys, _cells(rows))
-        else:
-            yield from _table(keys, _widths(keys, _cells(rows)), _cells(rows))
-        return
+def _text(keys: Sequence[str], rows: Iterable[Iterable[Any]], fmt: str) -> Iterator[str]:
+    """A table, or CSV for fmt "csv", of value rows; a table reads rows twice."""
+    if fmt == "csv":
+        return _csv(keys, _cells(rows))
+    return _table(keys, _widths(keys, _cells(rows)), _cells(rows))
+
+
+def _json(doc: Any, indent: int | None = 2) -> list[str]:
+    """The document and a newline, two chunks so that it is not copied; indent None gives a JSON Lines record."""
     import json  # only where JSON is written: --help, tables and csv never load it
 
-    if fmt == "json":
-        yield from (json.dumps({"ok": ok, "records": records}, indent=2), "\n")
-    else:
-        yield from (json.dumps(r) + "\n" for r in records)
+    return [json.dumps(doc, indent=indent), "\n"]
 
 
 _ENUMERATE_KEYS = ("word", "rank", "f", "odd")
@@ -223,10 +220,11 @@ def cmd_tree(args: argparse.Namespace) -> int:
 def _suite_pi_row(args: argparse.Namespace) -> list[dict[str, Any]]:
     """One pi-row record per row 0..max-n, from two walks zipped row by row.
 
-    residues.pi_rows grows each row's subset products from the row before;
-    macdonald.f_valued_rows folds the tree's branching rule on the way up.
-    Neither reads the other.  Their rows are compared by dict equality, in
-    C: neither stores a zero count, so it agrees with Counter's ==.
+    Two implementations of one recurrence, x -> {x, x*r} over the odd r < n:
+    the subset-product doubling in residues.pi_rows and the branching rule on
+    labels in macdonald.f_valued_rows.  Nothing here ties a label to its word;
+    the tests do, up to rank 16.  Rows compare by dict equality, in C: neither
+    stores a zero count, so it agrees with Counter's ==.
     """
     check_rank(args.max_n, SUBSET_MAX_RANK)
     records = []
@@ -295,10 +293,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.max_n = _MAX_N_DEFAULTS.get(args.suite)
     records = _SUITES[args.suite](args)
     ok = all(r["ok"] for r in records)
-    chunks = _records(records, args.format, ok)
-    if args.format == "table":
-        passed = sum(1 for r in records if r["ok"])
-        chunks = chain(chunks, [f"{passed}/{len(records)} checks passed\n"])
+    if args.format == "json":
+        chunks = _json({"ok": ok, "records": records})
+    elif args.format == "jsonl":
+        chunks = chain.from_iterable(_json(r, None) for r in records)
+    else:
+        chunks = _text(list(records[0]), [r.values() for r in records], args.format)
+        if args.format == "table":
+            chunks = chain(chunks, [f"{sum(r['ok'] for r in records)}/{len(records)} checks passed\n"])
     _write(chunks, args.out)
     if not ok:
         print(f"FAIL: suite {args.suite}", file=sys.stderr)
@@ -316,31 +318,20 @@ def cmd_residues(args: argparse.Namespace) -> int:
         method = None
         h = ResidueHistogram(args.prime, residue_distribution_mod_p(args.rank, args.prime))
     flat = is_equidistributed(h)
-    verdict = "flat" if flat else "not-flat"
+    verdict = f"verdict: {'flat' if flat else 'not-flat'}\n"
     if args.format == "json":
-        import json
-
-        payload = {
-            "n": args.rank,
-            "modulus": h.modulus,
-            "counts": h.counts,  # json writes each int key as str(r)
-            "flat": flat,
-        }
+        doc = {"n": args.rank, "modulus": h.modulus, "counts": h.counts, "flat": flat}  # json writes each int key as str(r)
         if method is not None:
-            payload["method"] = method
-        _write([json.dumps(payload, indent=2), "\n"], args.out)
+            doc["method"] = method
+        chunks = _json(doc)
     else:
-        keys = ["residue", "count"]
+        chunks = _text(["residue", "count"], h.counts.items(), args.format)
         if args.format == "csv":
-            chunks = _csv(keys, _cells(h.counts.items()))
-            print(f"verdict: {verdict}", file=sys.stderr)
+            sys.stderr.write(verdict)
         else:
-            rows = h.counts.items()
-            chunks = chain(_table(keys, _widths(keys, _cells(rows)), _cells(rows)), [f"verdict: {verdict}\n"])
-        _write(chunks, args.out)
-    if args.assert_flat and not flat:
-        return 1
-    return 0
+            chunks = chain(chunks, [verdict])
+    _write(chunks, args.out)
+    return 1 if args.assert_flat and not flat else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -360,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tree = sub.add_parser("tree", help="export the tree of odd words as DOT or JSON")
     p_tree.add_argument("--max-rank", type=int, required=True)
-    p_tree.add_argument("--f-valued", action="store_true", help="label nodes with their chain counts")
+    p_tree.add_argument("--f-valued", action="store_true", help="label DOT nodes with their chain counts (JSON nodes always carry f)")
     p_tree.add_argument("--format", choices=("dot", "json"), default="dot")
     p_tree.add_argument("--out", help="write output to this path instead of stdout")
     p_tree.set_defaults(cmd=cmd_tree, parser=p_tree)
@@ -400,6 +391,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-def main_exit() -> None:
-    raise SystemExit(main())

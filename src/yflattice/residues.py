@@ -81,21 +81,28 @@ def residue_histogram_enum(n: int, k: int) -> ResidueHistogram:
     return ResidueHistogram(m, {r: tally.get(r, 0) for r in range(1, m, 2)})
 
 
-# The guard charges row n mod 2^k the work W = (n//2)^2 * 2^(k-1) of a bucket
-# DP: n//2 folds over 2^(k-1) counts of up to n//2 bits.  The component fold
-# makes fewer adds, on coefficients of a few hundred bits, but W still bounds
-# it.  On a 2-core x86-64 VM the threshold row 2^(k-1)+2 takes 0.5 s at
-# k = 13 (W ~ 2^34), 2.0 s at k = 14 (2^37) and 8.9 s at k = 15 (2^40, past
-# the guard), against 1.0 s, 6.1 s and 29-37 s for the bucket DP.
+# The guard charges a walk over `rows` rows ending at row `last` mod 2^k the
+# work of a bucket DP, W = (last//2) * (last//2 + rows - 1) * 2^(k-1):
+# last//2 folds over 2^(k-1) counts of up to last//2 bits, a bound that also
+# covers one read-back of those counts, and one more read-back for each
+# further row.  The component fold makes fewer adds, on coefficients of a
+# few hundred bits, but W still bounds it.  On a 2-core x86-64 VM the
+# threshold row 2^(k-1)+2 takes 0.5 s at k = 13 (W ~ 2^34), 2.0 s at k = 14
+# (2^37) and 8.9 s at k = 15 (2^40, past the guard), against 1.0 s, 6.1 s
+# and 29-37 s for the bucket DP.  Many cheap rows: verify main -k 1
+# --n-extra 1000000 (W ~ 2^39.4) took 77 s and is refused, while the last
+# run accepted at k = 1, --n-extra 605394, takes 17-34 s: W leaves out the
+# checks and records each row gets after its read-back.
 DP_MAX_WORK = 1 << 38
 
 
-def _check_dp_work(n: int, k: int) -> None:
-    work = (n // 2) ** 2 << (k - 1)
+def _check_dp_work(last: int, k: int, rows: int) -> None:
+    half = last // 2
+    work = half * (half + rows - 1) << (k - 1)
     if work > DP_MAX_WORK:
         raise ValueError(
-            f"bucket DP work (n//2)^2 * 2^(k-1) = {work} for row {n} mod 2^{k} "
-            f"exceeds the guard of {DP_MAX_WORK}"
+            f"bucket DP work (last//2) * (last//2 + rows - 1) * 2^(k-1) = {work} for rows "
+            f"{last - rows + 1}..{last} mod 2^{k} exceeds the guard of {DP_MAX_WORK}"
         )
 
 
@@ -178,15 +185,15 @@ def _read_back(state: Components, size: int) -> list[int]:
 def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, ResidueHistogram]]:
     """Rows n through last with their histograms mod 2^k, in one pass.
 
-    Every guard runs before the first fold, the last row bounding the DP
-    work.  Row n folds its own factors into the unit components; each later
-    row folds in only the factors the row before it lacks, and each row is
-    read back from the components on its own.  All rows share one
-    discrete-log table and one list of residue keys.
+    Every guard runs before the first fold, the DP work priced by the last
+    row's folds and every row read back.  Row n folds its own factors into
+    the unit components; each later row folds in only the factors the row
+    before it lacks, and each row is read back from the components on its
+    own.  All rows share one discrete-log table and one list of residue keys.
     """
     _check_modulus_pow(k)
     check_rank(n)
-    _check_dp_work(last, k)
+    _check_dp_work(last, k, last - n + 1)
     dlog = _dlog(k)
     keys = list(range(1, 1 << k, 2))
     size = max(1, len(dlog) // 2)

@@ -350,7 +350,14 @@ def test_dp_work_guard(capsys, monkeypatch):
         raise AssertionError("folded before the guard")
 
     monkeypatch.setattr(residues, "_fold", no_fold)
-    for argv in (("verify", "main", "-k", "15"), ("residues", "-n", "10000000", "-k", "1")):
+    for argv in (
+        ("verify", "main", "-k", "15"),
+        ("residues", "-n", "10000000", "-k", "1"),
+        # many cheap rows: refused for the rows read back, not for the last row's folds
+        ("verify", "main", "-k", "1", "--n-extra", "1000000"),
+        ("verify", "one-step", "-k", "1", "--max-n", "1000000"),
+        ("verify", "one-step", "-k", "2", "--max-n", "700000"),
+    ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and "guard of" in err
 

@@ -1,4 +1,4 @@
-"""The package's export list: no stale or missing names; its import footprint."""
+"""The package's export list: no stale or missing names; its import footprint; its run as a process."""
 
 import subprocess
 import sys
@@ -32,3 +32,13 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     added = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout.split()
     assert "yflattice.cli" in added
     assert not {"dataclasses", "inspect"} & set(added)
+
+
+def test_package_runs_as_a_process():
+    for argv, code in ((["main", "-k", "3"], 0), (["main", "-k", "15"], 1), (["main"], 2)):
+        done = subprocess.run([sys.executable, "-m", "yflattice", "verify", *argv], capture_output=True, text=True)
+        assert done.returncode == code, (argv, done.stderr)
+        if code == 0:
+            assert done.stdout.endswith("checks passed\n")
+        elif code == 1:
+            assert done.stdout == "" and "guard of" in done.stderr

@@ -149,8 +149,33 @@ def test_dp_work_guard(monkeypatch):
             refused()
     # the threshold row stays accepted up to k = 14 (about 4 s, not run here)
     for k in range(1, 15):
-        residues._check_dp_work((1 << (k - 1)) + 2, k)
-    residues._check_dp_work(1 << 20, 1)
+        residues._check_dp_work((1 << (k - 1)) + 2, k, 1)
+    residues._check_dp_work(1 << 20, 1, 1)
+
+
+def test_dp_work_guard_prices_every_row_read_back(monkeypatch):
+    class Folded(Exception):
+        pass
+
+    def fold(*args):
+        raise Folded
+
+    monkeypatch.setattr(residues, "_fold", fold)
+    # one row apart on each side of (last//2) * (last//2 + rows - 1) * 2^(k-1) = 2^38;
+    # the last-row price alone, (last//2)^2 * 2^(k-1), accepts every refused run
+    for accepted, refused in (
+        (lambda: verify_main_theorem(1, 605394), lambda: verify_main_theorem(1, 605395)),
+        (lambda: verify_one_step(2, 428078), lambda: verify_one_step(2, 428079)),
+        (lambda: verify_main_theorem(14, 1762), lambda: verify_main_theorem(14, 1763)),
+    ):
+        with pytest.raises(Folded):
+            accepted()
+        with pytest.raises(ValueError, match="guard of 274877906944"):
+            refused()
+    # the CI reach run verify main -k 14 --n-extra 2 and the benchmark's verify runs
+    residues._check_dp_work(8196, 14, 3)
+    residues._check_dp_work(4110, 13, 13)
+    residues._check_dp_work(205, 8, 206)
 
 
 def test_verify_one_step_scan():
