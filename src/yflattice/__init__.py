@@ -15,7 +15,7 @@ from .core import (
     rank,
     word_text,
 )
-from .fstat import f_mod, f_product, f_recursive
+from .fstat import f_blocks, f_mod, f_product, f_recursive, f_row
 from .macdonald import (
     MacdonaldNode,
     MacdonaldTree,
@@ -52,9 +52,11 @@ __all__ = [
     "parse_word",
     "rank",
     "word_text",
+    "f_blocks",
     "f_mod",
     "f_product",
     "f_recursive",
+    "f_row",
     "MacdonaldNode",
     "MacdonaldTree",
     "build_tree",

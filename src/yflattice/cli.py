@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from itertools import chain, islice
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from .core import EMPTY_TOKEN, ROW_MAX_RANK, SUBSET_MAX_RANK, Word, check_rank, enumerate_rank, word_text
-from .fstat import f_product, f_recursive
-from .macdonald import f_valued_rows, is_odd_word, tree_rows
-from .primes import check_prime, coprime_count, is_coprime_direct, is_coprime_structural, residue_distribution_mod_p
+from .core import EMPTY_TOKEN, ROW_MAX_RANK, SUBSET_MAX_RANK, Word, check_rank, row_size, word_text
+from .fstat import f_blocks, f_recursive, f_row
+from .macdonald import f_valued_rows, tree_rows
+from .primes import check_prime, coprime_count, is_coprime_structural, residue_distribution_mod_p
 from .residues import (
     ResidueHistogram,
     is_equidistributed,
@@ -88,28 +87,20 @@ def _text(keys: Sequence[str], rows: Iterable[Iterable[Any]], fmt: str) -> Itera
     return _table(keys, _widths(keys, _cells(rows)), _cells(rows))
 
 
-def _json(doc: Any, indent: int | None = 2) -> list[str]:
-    """The document and a newline, two chunks so that it is not copied; indent None gives a JSON Lines record."""
+def _json(doc: Any, indent: int | None = 2) -> Iterable[str]:
+    """The document and a newline; indent None gives a JSON Lines record.
+
+    An indented document is laid out as json.dumps(doc, indent=indent) would,
+    but chunk by chunk, so a long record list is never one string.
+    """
     import json  # only where JSON is written: --help, tables and csv never load it
 
-    return [json.dumps(doc, indent=indent), "\n"]
+    if indent is None:
+        return [json.dumps(doc), "\n"]
+    return chain(json.JSONEncoder(indent=indent).iterencode(doc), ["\n"])
 
 
 _ENUMERATE_KEYS = ("word", "rank", "f", "odd")
-
-
-def _enumerate_widths(words: Iterable[Word], n: str) -> list[int]:
-    """The enumerate table's column widths, from one walk that makes no record.
-
-    A word's text is as long as the word, or as the empty word's token, and
-    the widest count is the largest.  The odd column is last, so its width
-    is left at its key's (see _table).
-    """
-    longest = top = 0
-    for w in words:
-        longest = max(longest, len(w) or len(EMPTY_TOKEN))
-        top = max(top, f_product(w))
-    return list(map(max, map(len, _ENUMERATE_KEYS), (longest, len(n), len(str(top)), 0)))
 
 
 def _enumerate_json(records: Iterable[tuple[str, str, str, str]]) -> Iterator[str]:
@@ -127,23 +118,28 @@ def _enumerate_json(records: Iterable[tuple[str, str, str, str]]) -> Iterator[st
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.filter == "coprime" and args.prime is None:
         args.parser.error("--filter coprime requires --prime/-p")
-    row = enumerate_rank(args.rank)  # the rank guard runs here, before any output
-    if args.filter == "odd":
-        keep: Callable[[Word], bool] | None = is_odd_word
-    elif args.filter == "coprime":
+    blocks = f_blocks(args.rank)  # the rank guard runs here, before any output
+    if args.filter == "coprime":
         check_prime(args.prime)  # refused before any output, not at the first word
-        keep = partial(is_coprime_direct, p=args.prime)
-    else:
-        keep = None
+    modulus = {"odd": 2, "coprime": args.prime}.get(args.filter)
     n = str(args.rank)
     empty = "" if args.format in ("json", "jsonl") else EMPTY_TOKEN
 
-    def words() -> Iterable[Word]:
-        return row if keep is None else filter(keep, row)
+    def kept() -> Iterator[tuple[str, int]]:
+        """(text, f) per kept word: the head's text and the tail's, cached per tails row."""
+        texts: dict[int, list[str]] = {}
+        for head, g, tails, fs in blocks:
+            if id(tails) not in texts:
+                texts[id(tails)] = [word_text(w, "") for w in tails]
+            lead = word_text(head, "")
+            for tail, f in zip(texts[id(tails)], fs):
+                f *= g
+                if modulus is None or f % modulus:
+                    yield lead + tail, f
 
     def records() -> Iterator[tuple[str, str, str, str]]:
-        for w in words():
-            yield word_text(w, empty), n, str(f_product(w)), "true" if is_odd_word(w) else "false"
+        for text, f in kept():
+            yield text or empty, n, str(f), "true" if f & 1 else "false"
 
     if args.format == "json":
         chunks = _enumerate_json(records())
@@ -152,7 +148,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         chunks = _csv(_ENUMERATE_KEYS, records())
     else:
-        chunks = _table(_ENUMERATE_KEYS, _enumerate_widths(words(), n), records())
+        # the widest text and count, from one walk that makes no record; the
+        # odd column is last, so its width is left at its key's (see _table)
+        longest = top = 0
+        for text, f in kept():
+            longest, top = max(longest, len(text) or len(EMPTY_TOKEN)), max(top, f)
+        widths = list(map(max, map(len, _ENUMERATE_KEYS), (longest, len(n), len(str(top)), 0)))
+        chunks = _table(_ENUMERATE_KEYS, widths, records())
     _write(chunks, args.out)
     return 0
 
@@ -235,14 +237,23 @@ def _suite_pi_row(args: argparse.Namespace) -> list[dict[str, Any]]:
     return records
 
 
+# verify coprime walks rows 0..max_n once per prime, F(max_n + 3) - 1 words
+# each: the default four primes at --max-n 24 are 785668 words, 0.75-1.5 s
+# (2-core x86-64 VM), and 6 primes or more there are refused.
+COPRIME_MAX_WORDS = 1 << 20
+
+
 def _suite_coprime(args: argparse.Namespace) -> list[dict[str, Any]]:
+    """Per prime and row: the block walk's count of f % p != 0, its closed form, and is_coprime_structural per word."""
     check_rank(args.max_n, ROW_MAX_RANK)
     primes = args.prime or [2, 3, 5, 7]
+    if (words := len(primes) * (row_size(args.max_n + 2) - 1)) > COPRIME_MAX_WORDS:
+        raise ValueError(f"{len(primes)} primes over rows 0..{args.max_n} walk {words} words, over the guard of {COPRIME_MAX_WORDS}")
 
     def check(p: int, n: int) -> dict[str, Any]:
         count, predicates = 0, True
-        for w in enumerate_rank(n):
-            direct = is_coprime_direct(w, p)
+        for w, f in f_row(n):
+            direct = f % p != 0
             count += direct
             predicates &= is_coprime_structural(w, p) == direct
         closed = coprime_count(p, n)
@@ -266,9 +277,9 @@ def _suite_oracle(args: argparse.Namespace) -> list[dict[str, Any]]:
 
     def check(n: int) -> dict[str, Any]:
         words, agree = 0, True
-        for w in enumerate_rank(n):
+        for w, f in f_row(n):
             words += 1
-            agree &= f_product(w) == f_recursive(w)
+            agree &= f == f_recursive(w)
         return {"check": "oracle", "n": n, "words": words, "ok": agree}
 
     return [check(n) for n in range(args.max_n + 1)]

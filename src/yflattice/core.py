@@ -22,8 +22,9 @@ EMPTY_TOKEN = "e"
 # products over a row of odd words, F(n+1) words walked in a whole row.
 SUBSET_MAX_RANK = 40
 # A row is made as it is read, so the row guard bounds time and output, not
-# memory: enumerate -n 24 writes its 75025 words in about 0.4 s at a 16 MiB
-# peak (jsonl, 2-core x86-64 VM).
+# memory.  At rank 24, by the block walk (2-core x86-64 VM, 15 MiB peaks):
+# enumerate writes its 75025 words in 0.1-0.3 s, verify coprime takes
+# 0.75-1.5 s, residues -p 13 0.07 s, and verify oracle 0.75 s (73 MiB).
 ROW_MAX_RANK = 24
 # The tree guard bounds output and time: about 3 * 2^(n//2) nodes, and rank 30
 # writes 70 MB of JSON in 0.25 s (43 MiB peak) or 12 MB of DOT in 0.2 s.
@@ -132,9 +133,11 @@ class Row:
     sorted order, each followed by every tail of its row in order, walks
     the row lexicographically.  Only the head and tail rows are kept,
     O(F(n/2)) words; each word read costs one tuple concatenation.
+    `blocks` holds the (head, tails) pairs in row order; every tails list is
+    one of two shared lists, so a walk can cache per tails row by identity.
     """
 
-    __slots__ = ("_blocks", "_size")
+    __slots__ = ("blocks", "_size")
 
     def __init__(self, n: int) -> None:
         h = n // 2
@@ -142,14 +145,14 @@ class Row:
         heads, short_heads = _rows(n - h)
         blocks = [(w, tails) for w in heads] + [(w + (2,), short_tails) for w in short_heads]
         blocks.sort()
-        self._blocks = blocks
+        self.blocks = blocks
         self._size = row_size(n)
 
     def __len__(self) -> int:
         return self._size
 
     def __iter__(self) -> Iterator[Word]:
-        return chain.from_iterable(map(head.__add__, tails) for head, tails in self._blocks)
+        return chain.from_iterable(map(head.__add__, tails) for head, tails in self.blocks)
 
 
 def enumerate_rank(n: int) -> Row:

@@ -2,9 +2,15 @@
 
 Two independent routes are kept side by side.  f_recursive follows the
 defining recursion (sum over the covered words) and serves as the oracle;
-f_product is the O(length) production path, a hook-length analog with one
+f_product is the O(length) per-word path, a hook-length analog with one
 factor per 2 in the word.  f_mod evaluates the product form modulo m with
 every intermediate reduced, so huge rows never touch big integers.
+
+Whole rows take the block walk, f_blocks and f_row: a head followed by a
+tail of rank t has the count g * f(tail), where the head factor g has one
+factor per 2 of the head, its suffix rank within the head plus t, minus one.
+Each block costs one head factor, each shared tails row one f_product per
+tail, and each word one multiplication.
 
 f_recursive recurses once per rank through one memo per process, shared by
 every call, so each word's chain count is computed once.  It refuses ranks
@@ -15,8 +21,9 @@ words of rank <= 24, 74 MiB at the peak of verify oracle --max-rank 24.
 from __future__ import annotations
 
 from functools import cache
+from typing import Iterator
 
-from .core import ROW_MAX_RANK, Word, check_rank, covers_down, rank
+from .core import ROW_MAX_RANK, Word, check_rank, covers_down, enumerate_rank, rank
 
 
 @cache
@@ -30,19 +37,46 @@ def f_recursive(w: Word) -> int:
     return _chains(w)
 
 
-def f_product(w: Word) -> int:
-    """Chain count by the product form.
-
-    One factor per 2: the digit sum from that 2 through the end of the
-    word, minus one.  The empty product is 1.
-    """
-    suffix = 0
+def _factor(w: Word, suffix: int) -> int:
+    """The product over the 2s of w of (digit sum from that 2 on, plus suffix, minus one)."""
     f = 1
     for x in reversed(w):
         suffix += x
         if x == 2:
             f *= suffix - 1
     return f
+
+
+def f_product(w: Word) -> int:
+    """Chain count by the product form.
+
+    One factor per 2: the digit sum from that 2 through the end of the
+    word, minus one.  The empty product is 1.
+    """
+    return _factor(w, 0)
+
+
+def f_blocks(n: int) -> list[tuple[Word, int, list[Word], list[int]]]:
+    """Row n as blocks (head, g, tails, fs) in row order, for the block walk.
+
+    The block's words are head + tails[i] with chain counts g * fs[i]; the
+    tails and fs lists are shared between blocks, so a caller can cache
+    per tails row by identity.  The row comes from enumerate_rank, whose
+    rank guard runs here, at the call.
+    """
+    counts: dict[int, list[int]] = {}
+    blocks = []
+    for head, tails in enumerate_rank(n).blocks:
+        if id(tails) not in counts:
+            counts[id(tails)] = [f_product(w) for w in tails]
+        blocks.append((head, _factor(head, n - rank(head)), tails, counts[id(tails)]))
+    return blocks
+
+
+def f_row(n: int) -> Iterator[tuple[Word, int]]:
+    """(word, chain count) for every word of rank n, in row order; the rank guard runs at the call."""
+    blocks = f_blocks(n)
+    return ((head + w, g * f) for head, g, tails, fs in blocks for w, f in zip(tails, fs))
 
 
 def f_mod(w: Word, m: int) -> int:

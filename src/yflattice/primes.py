@@ -9,10 +9,11 @@ of such words is a product of row sizes.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
-from .core import Word, check_rank, enumerate_rank, rank, row_size
-from .fstat import f_mod
+from .core import Word, check_rank, rank, row_size
+from .fstat import f_blocks, f_mod
 from .residues import MODULUS_MAX_POW
 
 # Miller-Rabin with these witnesses is deterministic below _WITNESS_BOUND =
@@ -90,8 +91,8 @@ def coprime_count(p: int, n: int) -> int:
     """Number of rank-n words whose chain count is coprime to p, in closed form.
 
     |row p|^m * |row r| with n = p*m + r, from the row sizes alone, up to
-    rank COUNT_MAX_RANK; enumerate_rank(n) filtered by is_coprime_direct is
-    its check.
+    rank COUNT_MAX_RANK; counting f % p != 0 over the block walk of row n
+    (fstat.f_row) is its check.
     """
     check_prime(p)
     check_rank(n, COUNT_MAX_RANK)
@@ -111,9 +112,5 @@ def residue_distribution_mod_p(n: int, p: int) -> dict[int, int]:
         raise ValueError("p must be an odd prime; modulus 2 is covered by the power-of-two histograms")
     if p - 1 > (buckets := 1 << (MODULUS_MAX_POW - 1)):  # as many as the largest histogram mod 2^k
         raise ValueError(f"modulus {p} needs {p - 1} buckets, over the guard of {buckets}")
-    counts = dict.fromkeys(range(1, p), 0)
-    for w in enumerate_rank(n):
-        r = f_mod(w, p)
-        if r:
-            counts[r] += 1
-    return counts
+    tally = Counter(g * f % p for _, g, _, fs in f_blocks(n) for f in fs)
+    return {r: tally[r] for r in range(1, p)}

@@ -4,7 +4,7 @@ import json
 
 from hypothesis import given, strategies as st
 
-from yflattice import build_tree, cli, enumerate_rank, fstat, primes, residues, word_text
+from yflattice import build_tree, cli, enumerate_rank, fstat, residues, word_text
 from yflattice.cli import main
 
 
@@ -248,23 +248,22 @@ def test_verify_coprime_csv_columns(capsys):
 
 
 def test_verify_coprime_walks_each_row_once(capsys, monkeypatch):
-    calls = {"f_mod": 0, "rows": []}
-    f_mod, enumerate_rank = primes.f_mod, cli.enumerate_rank
+    calls = {"structural": 0, "rows": []}
+    structural, enumerate_rank = cli.is_coprime_structural, fstat.enumerate_rank
 
-    def counted_f_mod(w, m):
-        calls["f_mod"] += 1
-        return f_mod(w, m)
+    def counted_structural(w, p):
+        calls["structural"] += 1
+        return structural(w, p)
 
     def counted_rows(n):
         calls["rows"].append(n)
         return enumerate_rank(n)
 
-    monkeypatch.setattr(primes, "f_mod", counted_f_mod)
-    monkeypatch.setattr(cli, "enumerate_rank", counted_rows)
-    monkeypatch.setattr(primes, "enumerate_rank", counted_rows)
+    monkeypatch.setattr(cli, "is_coprime_structural", counted_structural)
+    monkeypatch.setattr(fstat, "enumerate_rank", counted_rows)  # the block walk's row source
     code, _, _ = run(capsys, "verify", "coprime", "-p", "3", "--max-n", "10")
     assert code == 0
-    assert calls["f_mod"] == 232  # the words of rows 0..10: F(13) - 1
+    assert calls["structural"] == 232  # the words of rows 0..10: F(13) - 1
     assert calls["rows"] == list(range(11))
 
 
@@ -314,16 +313,32 @@ def test_verify_coprime_guard_before_rows(capsys, monkeypatch):
     def refuse(n, *args, **kwargs):
         raise AssertionError(f"row {n} computed before the guard")
 
-    monkeypatch.setattr(cli, "enumerate_rank", refuse)
-    monkeypatch.setattr(primes, "enumerate_rank", refuse)
+    monkeypatch.setattr(fstat, "enumerate_rank", refuse)
+    monkeypatch.setattr(cli, "f_row", refuse)
+    monkeypatch.setattr(cli, "f_blocks", refuse)
     monkeypatch.setattr(cli, "pi_rows", refuse)
     monkeypatch.setattr(cli, "f_valued_rows", refuse)
+    eight = [arg for p in (2, 3, 5, 7, 11, 13, 17, 19) for arg in ("-p", str(p))]
     for argv, guard in (
         (("coprime", "-p", "3", "--max-n", "25"), "guard of 24"),
+        (("coprime", *eight, "--max-n", "24"), "guard of 1048576"),
         (("pi-row", "--max-n", "41"), "guard of 40"),
     ):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 1 and out == "" and guard in err
+
+
+def test_verify_coprime_word_guard_boundary(capsys, monkeypatch):
+    # 5 primes over rows 0..24 walk 5 * 196417 = 982085 <= 2^20 words, 6 walk 1178502
+    def reached(n):
+        raise ValueError(f"reached row {n}")
+
+    monkeypatch.setattr(cli, "f_row", reached)
+    for count, verdict in ((5, "reached row 0"), (6, "6 primes over rows 0..24 walk 1178502 words, over the guard of 1048576")):
+        primes_argv = [arg for p in (2, 3, 5, 7, 11, 13)[:count] for arg in ("-p", str(p))]
+        code, out, err = run(capsys, "verify", "coprime", *primes_argv, "--max-n", "24")
+        assert code == 1 and out == "" and err == f"error: {verdict}\n"
+    assert cli.COPRIME_MAX_WORDS == 1 << 20
 
 
 def test_verify_max_rank_is_max_n(capsys):

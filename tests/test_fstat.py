@@ -1,7 +1,7 @@
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from yflattice import covers_down, enumerate_rank, f_mod, f_product, f_recursive, parse_word, rank
+from yflattice import covers_down, enumerate_rank, f_blocks, f_mod, f_product, f_recursive, f_row, parse_word, rank, word_text
 
 words = st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple)
 
@@ -88,3 +88,33 @@ def test_f_mod_rejects_small_modulus():
         f_mod((2, 1), 1)
     with pytest.raises(ValueError):
         f_mod((2, 1), 0)
+
+
+def _per_word(n):
+    return [(w, f_product(w)) for w in enumerate_rank(n)]
+
+
+def test_block_walk_is_the_per_word_row():
+    for n in range(21):
+        assert list(f_row(n)) == _per_word(n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 24))
+@example(24)
+def test_block_walk_is_the_per_word_row_to_the_guard(n):
+    assert list(f_row(n)) == _per_word(n)
+
+
+def test_block_texts_are_the_word_texts():
+    for n in range(21):
+        blocks = f_blocks(n)
+        assert len({id(tails) for _, _, tails, _ in blocks}) <= 2  # shared tails rows
+        texts = [word_text(head, "") + word_text(tail, "") for head, _, tails, _ in blocks for tail in tails]
+        assert texts == [word_text(w, "") for w in enumerate_rank(n)]
+
+
+def test_block_walk_guard_runs_at_the_call():
+    for walk in (f_row, f_blocks):
+        with pytest.raises(ValueError, match="rank 25 exceeds the guard of 24"):
+            walk(25)  # at the call, before any block or word is read

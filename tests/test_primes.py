@@ -120,7 +120,8 @@ def test_coprime_count_closed_needs_no_enumeration(monkeypatch):
     def refuse(n):
         raise AssertionError("closed route enumerated a row")
 
-    monkeypatch.setattr("yflattice.primes.enumerate_rank", refuse)
+    monkeypatch.setattr("yflattice.primes.f_blocks", refuse)
+    monkeypatch.setattr("yflattice.fstat.enumerate_rank", refuse)
     for (p, n), count in expected.items():
         assert coprime_count(p, n) == count
     # |row 29| = F(30) = 832040, |row 2| = 2
