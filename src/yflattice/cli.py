@@ -118,28 +118,24 @@ def _enumerate_json(records: Iterable[tuple[str, str, str, str]]) -> Iterator[st
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.filter == "coprime" and args.prime is None:
         args.parser.error("--filter coprime requires --prime/-p")
-    blocks = f_blocks(args.rank)  # the rank guard runs here, before any output
+    if args.filter != "coprime" and args.prime is not None:
+        args.parser.error("--prime/-p applies only to --filter coprime")
+    tails, fs, blocks = f_blocks(args.rank)  # the rank guard runs here, before any output
     if args.filter == "coprime":
         check_prime(args.prime)  # refused before any output, not at the first word
     modulus = {"odd": 2, "coprime": args.prime}.get(args.filter)
     n = str(args.rank)
     empty = "" if args.format in ("json", "jsonl") else EMPTY_TOKEN
-
-    def kept() -> Iterator[tuple[str, int]]:
-        """(text, f) per kept word: the head's text and the tail's, cached per tails row."""
-        texts: dict[int, list[str]] = {}
-        for head, g, tails, fs in blocks:
-            if id(tails) not in texts:
-                texts[id(tails)] = [word_text(w, "") for w in tails]
-            lead = word_text(head, "")
-            for tail, f in zip(texts[id(tails)], fs):
-                f *= g
-                if modulus is None or f % modulus:
-                    yield lead + tail, f
+    texts = [[word_text(w, "") for w in row] for row in tails]
 
     def records() -> Iterator[tuple[str, str, str, str]]:
-        for text, f in kept():
-            yield text or empty, n, str(f), "true" if f & 1 else "false"
+        """(word, rank, f, odd) as text per kept word: the head's text and its tails row's."""
+        for head, g, t in blocks:
+            lead = word_text(head, "")
+            for tail, f in zip(texts[t], fs[t]):
+                f *= g
+                if modulus is None or f % modulus:
+                    yield lead + tail or empty, n, str(f), "true" if f & 1 else "false"
 
     if args.format == "json":
         chunks = _enumerate_json(records())
@@ -148,12 +144,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         chunks = _csv(_ENUMERATE_KEYS, records())
     else:
-        # the widest text and count, from one walk that makes no record; the
-        # odd column is last, so its width is left at its key's (see _table)
+        # widths from a first walk; odd is last, so it keeps its key's (see _table)
         longest = top = 0
-        for text, f in kept():
-            longest, top = max(longest, len(text) or len(EMPTY_TOKEN)), max(top, f)
-        widths = list(map(max, map(len, _ENUMERATE_KEYS), (longest, len(n), len(str(top)), 0)))
+        for word, _, f, _ in records():
+            longest, top = max(longest, len(word)), max(top, len(f))
+        widths = list(map(max, map(len, _ENUMERATE_KEYS), (longest, len(n), top, 0)))
         chunks = _table(_ENUMERATE_KEYS, widths, records())
     _write(chunks, args.out)
     return 0
@@ -300,6 +295,10 @@ _SUITES = {
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite in ("main", "one-step") and args.modulus_pow is None:
         args.parser.error(f"suite {args.suite} requires --modulus-pow/-k")
+    if args.suite not in ("main", "one-step") and args.modulus_pow is not None:
+        args.parser.error("--modulus-pow/-k applies only to suites main and one-step")
+    if args.suite != "coprime" and args.prime is not None:
+        args.parser.error("--prime/-p applies only to suite coprime")
     if args.max_n is None:
         args.max_n = _MAX_N_DEFAULTS.get(args.suite)
     records = _SUITES[args.suite](args)

@@ -131,28 +131,25 @@ class Row:
     n - h or one of rank n - h - 1 followed by a 2, then a tail of rank h
     or h - 1 to make up n.  The heads are prefix-free, so taking them in
     sorted order, each followed by every tail of its row in order, walks
-    the row lexicographically.  Only the head and tail rows are kept,
-    O(F(n/2)) words; each word read costs one tuple concatenation.
-    `blocks` holds the (head, tails) pairs in row order; every tails list is
-    one of two shared lists, so a walk can cache per tails row by identity.
+    the row lexicographically.  Only `tails`, rows h and h - 1, and
+    `blocks`, the (head, t) pairs in row order with t indexing `tails`, are
+    kept: O(F(n/2)) words.  Each word read costs one tuple concatenation.
     """
 
-    __slots__ = ("blocks", "_size")
+    __slots__ = ("tails", "blocks", "_size")
 
     def __init__(self, n: int) -> None:
         h = n // 2
-        tails, short_tails = _rows(h)
         heads, short_heads = _rows(n - h)
-        blocks = [(w, tails) for w in heads] + [(w + (2,), short_tails) for w in short_heads]
-        blocks.sort()
-        self.blocks = blocks
+        self.tails = _rows(h)
+        self.blocks = sorted([(w, 0) for w in heads] + [(w + (2,), 1) for w in short_heads])
         self._size = row_size(n)
 
     def __len__(self) -> int:
         return self._size
 
     def __iter__(self) -> Iterator[Word]:
-        return chain.from_iterable(map(head.__add__, tails) for head, tails in self.blocks)
+        return chain.from_iterable(map(head.__add__, self.tails[t]) for head, t in self.blocks)
 
 
 def enumerate_rank(n: int) -> Row:

@@ -7,10 +7,10 @@ factor per 2 in the word.  f_mod evaluates the product form modulo m with
 every intermediate reduced, so huge rows never touch big integers.
 
 Whole rows take the block walk, f_blocks and f_row: a head followed by a
-tail of rank t has the count g * f(tail), where the head factor g has one
-factor per 2 of the head, its suffix rank within the head plus t, minus one.
-Each block costs one head factor, each shared tails row one f_product per
-tail, and each word one multiplication.
+tail of rank s has the count g * f(tail), where the head factor g has one
+factor per 2 of the head, its suffix rank within the head plus s, minus one.
+Each block costs one head factor, each of the two tails rows one f_product
+per tail, and each word one multiplication.
 
 f_recursive recurses once per rank through one memo per process, shared by
 every call, so each word's chain count is computed once.  It refuses ranks
@@ -56,27 +56,22 @@ def f_product(w: Word) -> int:
     return _factor(w, 0)
 
 
-def f_blocks(n: int) -> list[tuple[Word, int, list[Word], list[int]]]:
-    """Row n as blocks (head, g, tails, fs) in row order, for the block walk.
+def f_blocks(n: int) -> tuple[tuple[list[Word], list[Word]], tuple[list[int], list[int]], list[tuple[Word, int, int]]]:
+    """Row n as (tails, fs, blocks) for the block walk.
 
-    The block's words are head + tails[i] with chain counts g * fs[i]; the
-    tails and fs lists are shared between blocks, so a caller can cache
-    per tails row by identity.  The row comes from enumerate_rank, whose
-    rank guard runs here, at the call.
+    tails are rows h and h - 1 (h = n // 2), fs[t] the f_product of each
+    word of tails[t], and block (head, g, t) the words head + tails[t][i]
+    with chain counts g * fs[t][i].  Rank guard of enumerate_rank, at the call.
     """
-    counts: dict[int, list[int]] = {}
-    blocks = []
-    for head, tails in enumerate_rank(n).blocks:
-        if id(tails) not in counts:
-            counts[id(tails)] = [f_product(w) for w in tails]
-        blocks.append((head, _factor(head, n - rank(head)), tails, counts[id(tails)]))
-    return blocks
+    row = enumerate_rank(n)
+    fs = tuple([f_product(w) for w in tails] for tails in row.tails)
+    return row.tails, fs, [(head, _factor(head, n // 2 - t), t) for head, t in row.blocks]
 
 
 def f_row(n: int) -> Iterator[tuple[Word, int]]:
     """(word, chain count) for every word of rank n, in row order; the rank guard runs at the call."""
-    blocks = f_blocks(n)
-    return ((head + w, g * f) for head, g, tails, fs in blocks for w, f in zip(tails, fs))
+    tails, fs, blocks = f_blocks(n)
+    return ((head + w, g * f) for head, g, t in blocks for w, f in zip(tails[t], fs[t]))
 
 
 def f_mod(w: Word, m: int) -> int:

@@ -112,5 +112,6 @@ def residue_distribution_mod_p(n: int, p: int) -> dict[int, int]:
         raise ValueError("p must be an odd prime; modulus 2 is covered by the power-of-two histograms")
     if p - 1 > (buckets := 1 << (MODULUS_MAX_POW - 1)):  # as many as the largest histogram mod 2^k
         raise ValueError(f"modulus {p} needs {p - 1} buckets, over the guard of {buckets}")
-    tally = Counter(g * f % p for _, g, _, fs in f_blocks(n) for f in fs)
+    _, fs, blocks = f_blocks(n)
+    tally = Counter(g * f % p for _, g, t in blocks for f in fs[t])
     return {r: tally[r] for r in range(1, p)}

@@ -81,29 +81,27 @@ def residue_histogram_enum(n: int, k: int) -> ResidueHistogram:
     return ResidueHistogram(m, {r: tally.get(r, 0) for r in range(1, m, 2)})
 
 
-# The guard charges a walk over `rows` rows ending at row `last` mod 2^k the
-# work of a bucket DP, W = (last//2) * (last//2 + rows - 1) * 2^(k-1):
-# last//2 folds over 2^(k-1) counts of up to last//2 bits, a bound that also
-# covers one read-back of those counts, and one more read-back for each
-# further row.  The component fold makes fewer adds, on coefficients of a
-# few hundred bits, but W still bounds it.  On a 2-core x86-64 VM the
-# threshold row 2^(k-1)+2 takes 0.5 s at k = 13 (W ~ 2^34), 2.0 s at k = 14
-# (2^37) and 8.9 s at k = 15 (2^40, past the guard), against 1.0 s, 6.1 s
-# and 29-37 s for the bucket DP.  Many cheap rows: verify main -k 1
-# --n-extra 1000000 (W ~ 2^39.4) took 77 s and is refused, while the last
-# run accepted at k = 1, --n-extra 605394, takes 17-34 s: W leaves out the
-# checks and records each row gets after its read-back.
+# The guard prices a walk over `rows` rows ending at row `last` mod 2^k.  With
+# half = last//2 and more = rows - 1 rows past the first, the price is
+#   W = (half * (half + 9*more) + more * 2^17) * 2^(k-1) + more * 2^21.
+# half^2 * 2^(k-1) bounds the last row's folds (half folds over 2^(k-1) counts
+# of up to half bits; the component fold makes fewer adds, on coefficients of
+# a few hundred bits) and one read-back.  Each further row pays its read-back
+# and checks: 9 per bit of each count (adds, shifts and hashes of counts up to
+# half bits), 2^17 per count (the dicts and sets of the records and of
+# one-step's multiplicative_shift) and 2^21 per row.  On a 2-core x86-64 VM
+# the threshold row 2^(k-1)+2 takes 0.5 s at k = 13 (W ~ 2^34), 2.1 s at
+# k = 14 (2^37) and 8.9 s at k = 15 (2^40, refused).  The last runs accepted
+# for k from 1 to 14 take 1.3-4.3 s, verify one-step -k 4 --max-n 53195 the
+# slowest.
 DP_MAX_WORK = 1 << 38
 
 
 def _check_dp_work(last: int, k: int, rows: int) -> None:
-    half = last // 2
-    work = half * (half + rows - 1) << (k - 1)
+    half, more = last // 2, rows - 1
+    work = ((half * (half + 9 * more) + (more << 17)) << (k - 1)) + (more << 21)
     if work > DP_MAX_WORK:
-        raise ValueError(
-            f"bucket DP work (last//2) * (last//2 + rows - 1) * 2^(k-1) = {work} for rows "
-            f"{last - rows + 1}..{last} mod 2^{k} exceeds the guard of {DP_MAX_WORK}"
-        )
+        raise ValueError(f"DP work {work} for rows {last - rows + 1}..{last} mod 2^{k} exceeds the guard of {DP_MAX_WORK}")
 
 
 def _dlog(k: int) -> list[int]:

@@ -59,6 +59,19 @@ def test_enumerate_usage_errors(capsys):
     assert "error" in err
 
 
+def test_options_a_command_ignores_are_usage_errors(capsys):
+    for argv, option in (
+        (["enumerate", "-n", "3", "-p", "3"], "--prime/-p"),
+        (["enumerate", "-n", "3", "--filter", "odd", "-p", "3"], "--prime/-p"),
+        (["verify", "main", "-k", "3", "-p", "5"], "--prime/-p"),
+        (["verify", "oracle", "-p", "3"], "--prime/-p"),
+        (["verify", "oracle", "-k", "3"], "--modulus-pow/-k"),
+        (["verify", "coprime", "-k", "3", "-p", "3"], "--modulus-pow/-k"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and option in err, argv
+
+
 def test_tree_dot(capsys):
     code, out, _ = run(capsys, "tree", "--max-rank", "2")
     assert code == 0
@@ -272,8 +285,8 @@ def test_row_suites_report_a_disagreeing_route(capsys, monkeypatch):
     wrong = (1, 2, 1, 2)  # one word of rank 6, deep inside the row
     monkeypatch.setattr(cli, "is_coprime_structural", lambda w, p: structural(w, p) ^ (w == wrong))
     monkeypatch.setattr(cli, "f_recursive", lambda w: f_recursive(w) + (w == wrong))
-    for suite, column in (("coprime", "predicates_agree"), ("oracle", "ok")):
-        code, out, err = run(capsys, "verify", suite, "-p", "3", "--max-n", "7", "--format", "json")
+    for suite, column, primes in (("coprime", "predicates_agree", ["-p", "3"]), ("oracle", "ok", [])):
+        code, out, err = run(capsys, "verify", suite, *primes, "--max-n", "7", "--format", "json")
         assert code == 1 and err == f"FAIL: suite {suite}\n"
         records = json.loads(out)["records"]
         assert [r["n"] for r in records if not r[column]] == [6]

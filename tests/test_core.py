@@ -100,6 +100,18 @@ def test_enumerate_rank_is_the_reference_row():
         assert len(row) == len(expected)
 
 
+def test_row_blocks_index_its_two_tails_rows():
+    rows = list(_reference_rows(ROW_MAX_RANK))
+    for n in range(2, ROW_MAX_RANK + 1):
+        h, row = n // 2, enumerate_rank(n)
+        assert row.tails == (rows[h], rows[h - 1])
+        heads = [head for head, _ in row.blocks]
+        assert all(a < b for a, b in zip(heads, heads[1:]))  # strictly increasing
+        for head, t in row.blocks:
+            assert t in (0, 1)
+            assert rank(head) + h - t == n
+
+
 def test_enumerate_rank_drains_in_small_memory():
     tracemalloc.start()
     try:

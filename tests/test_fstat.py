@@ -108,9 +108,9 @@ def test_block_walk_is_the_per_word_row_to_the_guard(n):
 
 def test_block_texts_are_the_word_texts():
     for n in range(21):
-        blocks = f_blocks(n)
-        assert len({id(tails) for _, _, tails, _ in blocks}) <= 2  # shared tails rows
-        texts = [word_text(head, "") + word_text(tail, "") for head, _, tails, _ in blocks for tail in tails]
+        tails, fs, blocks = f_blocks(n)
+        assert fs == tuple([f_product(w) for w in row] for row in tails)
+        texts = [word_text(head, "") + word_text(tail, "") for head, _, t in blocks for tail in tails[t]]
         assert texts == [word_text(w, "") for w in enumerate_rank(n)]
 
 

@@ -2,7 +2,7 @@ from collections import Counter
 from operator import add
 import tracemalloc
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from yflattice import residues
@@ -161,12 +161,13 @@ def test_dp_work_guard_prices_every_row_read_back(monkeypatch):
         raise Folded
 
     monkeypatch.setattr(residues, "_fold", fold)
-    # one row apart on each side of (last//2) * (last//2 + rows - 1) * 2^(k-1) = 2^38;
-    # the last-row price alone, (last//2)^2 * 2^(k-1), accepts every refused run
+    # one row apart on each side of W = 2^38, W = (half * (half + 9*more) + more * 2^17)
+    # * 2^(k-1) + more * 2^21 with half = last//2 and more rows past the first;
+    # the last-row price alone, half^2 * 2^(k-1), accepts every refused run
     for accepted, refused in (
-        (lambda: verify_main_theorem(1, 605394), lambda: verify_main_theorem(1, 605395)),
-        (lambda: verify_one_step(2, 428078), lambda: verify_one_step(2, 428079)),
-        (lambda: verify_main_theorem(14, 1762), lambda: verify_main_theorem(14, 1763)),
+        (lambda: verify_main_theorem(1, 101429), lambda: verify_main_theorem(1, 101430)),
+        (lambda: verify_one_step(2, 86428), lambda: verify_one_step(2, 86429)),
+        (lambda: verify_main_theorem(14, 97), lambda: verify_main_theorem(14, 98)),
     ):
         with pytest.raises(Folded):
             accepted()
@@ -176,6 +177,38 @@ def test_dp_work_guard_prices_every_row_read_back(monkeypatch):
     residues._check_dp_work(8196, 14, 3)
     residues._check_dp_work(4110, 13, 13)
     residues._check_dp_work(205, 8, 206)
+
+
+@st.composite
+def _walks(draw):
+    last = draw(st.integers(0, 1 << 21))
+    return last, draw(st.integers(1, 20)), draw(st.integers(1, last + 1))
+
+
+@given(_walks())
+@example((1 << 20, 1, 1)).via("the largest single row accepted at k = 1")
+@example(((1 << 20) + 2, 1, 1)).via("the smallest single row refused at k = 1")
+@example((741456, 2, 1)).via("the smallest single row refused at k = 2, half = 370728")
+@example((8196, 14, 1)).via("the k = 14 threshold row")
+@example((605398, 1, 605396)).via("verify main -k 1 --n-extra 605395, first refused by the read-back price")
+@example((428080, 2, 428081)).via("verify one-step -k 2 --max-n 428079, likewise")
+@example((9957, 14, 1764)).via("verify main -k 14 --n-extra 1763, likewise")
+def test_dp_work_guard_refuses_what_the_read_back_price_refused(walk):
+    """Every walk priced over 2^38 by (last//2) * (last//2 + rows - 1) * 2^(k-1) is
+    still refused, and a single row keeps the price (last//2)^2 * 2^(k-1)."""
+    last, k, rows = walk
+    half = last // 2
+
+    def refused(rows):
+        try:
+            residues._check_dp_work(last, k, rows)
+        except ValueError:
+            return True
+        return False
+
+    if half * (half + rows - 1) << (k - 1) > residues.DP_MAX_WORK:
+        assert refused(rows)
+    assert refused(1) == (half * half << (k - 1) > residues.DP_MAX_WORK)
 
 
 def test_verify_one_step_scan():
