@@ -280,7 +280,6 @@ def _suite_oracle(args: argparse.Namespace) -> list[dict[str, Any]]:
     return [check(n) for n in range(args.max_n + 1)]
 
 
-_MAX_N_DEFAULTS = {"one-step": 12, "pi-row": 16, "coprime": 18, "oracle": 12}
 # The lambdas look verify_main_theorem/verify_one_step up in this module's
 # globals at each call, so a wrapper bound there (perfbench/tracer.py) sees it.
 _SUITES = {
@@ -293,14 +292,6 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite in ("main", "one-step") and args.modulus_pow is None:
-        args.parser.error(f"suite {args.suite} requires --modulus-pow/-k")
-    if args.suite not in ("main", "one-step") and args.modulus_pow is not None:
-        args.parser.error("--modulus-pow/-k applies only to suites main and one-step")
-    if args.suite != "coprime" and args.prime is not None:
-        args.parser.error("--prime/-p applies only to suite coprime")
-    if args.max_n is None:
-        args.max_n = _MAX_N_DEFAULTS.get(args.suite)
     records = _SUITES[args.suite](args)
     ok = all(r["ok"] for r in records)
     if args.format == "json":
@@ -364,17 +355,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--f-valued", action="store_true", help="label DOT nodes with their chain counts (JSON nodes always carry f)")
     p_tree.add_argument("--format", choices=("dot", "json"), default="dot")
     p_tree.add_argument("--out", help="write output to this path instead of stdout")
-    p_tree.set_defaults(cmd=cmd_tree, parser=p_tree)
+    p_tree.set_defaults(cmd=cmd_tree)
 
     p_verify = sub.add_parser("verify", help="run a verification suite; exit 0 iff everything holds")
-    p_verify.add_argument("suite", choices=tuple(_SUITES))
-    p_verify.add_argument("-k", "--modulus-pow", type=int, help="modulus exponent for main/one-step")
-    p_verify.add_argument("--n-extra", type=int, default=2, help="rows past the threshold (suite main)")
-    p_verify.add_argument("--max-n", "--max-rank", type=int, default=None, help="row bound (one-step, pi-row, coprime, oracle)")
-    p_verify.add_argument("-p", "--prime", type=int, action="append", help="prime for suite coprime, repeatable")
-    p_verify.add_argument("--format", choices=("table", "csv", "json", "jsonl"), default="table")
-    p_verify.add_argument("--out", help="write output to this path instead of stdout")
-    p_verify.set_defaults(cmd=cmd_verify, parser=p_verify)
+    suites = p_verify.add_subparsers(dest="suite", required=True)  # each takes only the options it reads
+    for suite, max_n in (("main", None), ("one-step", 12), ("pi-row", 16), ("coprime", 18), ("oracle", 12)):
+        p_suite = suites.add_parser(suite)
+        if suite in ("main", "one-step"):
+            p_suite.add_argument("-k", "--modulus-pow", type=int, required=True, help="modulus exponent")
+        if max_n is None:
+            p_suite.add_argument("--n-extra", type=int, default=2, help="rows past the threshold (default %(default)s)")
+        else:
+            p_suite.add_argument("--max-n", "--max-rank", type=int, default=max_n, help="last row scanned (default %(default)s)")
+        if suite == "coprime":
+            p_suite.add_argument("-p", "--prime", type=int, action="append", help="prime, repeatable (default 2, 3, 5, 7)")
+        p_suite.add_argument("--format", choices=("table", "csv", "json", "jsonl"), default="table")
+        p_suite.add_argument("--out", help="write output to this path instead of stdout")
+        p_suite.set_defaults(cmd=cmd_verify)
 
     p_res = sub.add_parser("residues", help="histogram of chain-count residues for one rank")
     p_res.add_argument("-n", "--rank", type=int, required=True)
@@ -394,6 +391,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(sys, "set_int_max_str_digits"):  # CPython 3.10.7+; after parsing, so arguments
+            sys.set_int_max_str_digits(0)  # still meet the digit limit and counts of any length print
         return args.cmd(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -83,23 +83,24 @@ def residue_histogram_enum(n: int, k: int) -> ResidueHistogram:
 
 # The guard prices a walk over `rows` rows ending at row `last` mod 2^k.  With
 # half = last//2 and more = rows - 1 rows past the first, the price is
-#   W = (half * (half + 9*more) + more * 2^17) * 2^(k-1) + more * 2^21.
-# half^2 * 2^(k-1) bounds the last row's folds (half folds over 2^(k-1) counts
-# of up to half bits; the component fold makes fewer adds, on coefficients of
-# a few hundred bits) and one read-back.  Each further row pays its read-back
-# and checks: 9 per bit of each count (adds, shifts and hashes of counts up to
-# half bits), 2^17 per count (the dicts and sets of the records and of
-# one-step's multiplicative_shift) and 2^21 per row.  On a 2-core x86-64 VM
-# the threshold row 2^(k-1)+2 takes 0.5 s at k = 13 (W ~ 2^34), 2.1 s at
-# k = 14 (2^37) and 8.9 s at k = 15 (2^40, refused).  The last runs accepted
-# for k from 1 to 14 take 1.3-4.3 s, verify one-step -k 4 --max-n 53195 the
-# slowest.
+#   W = (half * (half + 9*more) + more * 2^17) * 2^(k-1) + more * 2^21,
+# and at least 4 * half^2.  half^2 * 2^(k-1) bounds the last row's folds (half
+# folds over 2^(k-1) counts of up to half bits; the component fold makes fewer
+# adds, on coefficients of a few hundred bits) and one read-back; at k <= 2 the
+# coefficients are the whole counts, so a single row costs more, hence the
+# floor.  Each further row pays its read-back and checks: 9 per bit of each
+# count (adds, shifts and hashes of counts up to half bits), 2^17 per count
+# (the dicts and sets of the records and of one-step's multiplicative_shift)
+# and 2^21 per row.  On a 2-core x86-64 VM the threshold row 2^(k-1)+2 takes
+# 0.5 s at k = 13 (W ~ 2^34), 2.1-2.6 s at k = 14 (2^37) and 8.9 s at k = 15
+# (2^40, refused).  The last runs accepted for k from 1 to 14 take 1.3-5.1 s:
+# the last single row at k = 1 and 2, row 524289, 4.9-5.1 s and 3.2 s.
 DP_MAX_WORK = 1 << 38
 
 
 def _check_dp_work(last: int, k: int, rows: int) -> None:
     half, more = last // 2, rows - 1
-    work = ((half * (half + 9 * more) + (more << 17)) << (k - 1)) + (more << 21)
+    work = max(((half * (half + 9 * more) + (more << 17)) << (k - 1)) + (more << 21), half * half << 2)
     if work > DP_MAX_WORK:
         raise ValueError(f"DP work {work} for rows {last - rows + 1}..{last} mod 2^{k} exceeds the guard of {DP_MAX_WORK}")
 

@@ -60,16 +60,21 @@ def test_enumerate_usage_errors(capsys):
 
 
 def test_options_a_command_ignores_are_usage_errors(capsys):
-    for argv, option in (
+    # a verify suite takes only its own options, so argparse names any other as typed
+    for argv, message in (
         (["enumerate", "-n", "3", "-p", "3"], "--prime/-p"),
         (["enumerate", "-n", "3", "--filter", "odd", "-p", "3"], "--prime/-p"),
-        (["verify", "main", "-k", "3", "-p", "5"], "--prime/-p"),
-        (["verify", "oracle", "-p", "3"], "--prime/-p"),
-        (["verify", "oracle", "-k", "3"], "--modulus-pow/-k"),
-        (["verify", "coprime", "-k", "3", "-p", "3"], "--modulus-pow/-k"),
+        (["verify", "main", "-k", "3", "-p", "5"], "unrecognized arguments: -p"),
+        (["verify", "oracle", "-p", "3"], "unrecognized arguments: -p"),
+        (["verify", "oracle", "-k", "3"], "unrecognized arguments: -k"),
+        (["verify", "coprime", "-k", "3", "-p", "3"], "unrecognized arguments: -k"),
+        (["verify", "main", "-k", "3", "--max-n", "7"], "unrecognized arguments: --max-n"),
+        (["verify", "oracle", "--n-extra", "5", "--max-n", "3"], "unrecognized arguments: --n-extra"),
+        (["verify", "one-step", "-k", "3", "--n-extra", "1"], "unrecognized arguments: --n-extra"),
+        (["verify", "pi-row", "-p", "3"], "unrecognized arguments: -p"),
     ):
         code, out, err = run(capsys, *argv)
-        assert code == 2 and out == "" and option in err, argv
+        assert code == 2 and out == "" and message in err, argv
 
 
 def test_tree_dot(capsys):
@@ -381,6 +386,8 @@ def test_dp_work_guard(capsys, monkeypatch):
     for argv in (
         ("verify", "main", "-k", "15"),
         ("residues", "-n", "10000000", "-k", "1"),
+        # a single row at k <= 2 is priced at least 4 * (n//2)^2
+        ("residues", "-n", "1048576", "-k", "1"),
         # many cheap rows: refused for the rows read back, not for the last row's folds
         ("verify", "main", "-k", "1", "--n-extra", "1000000"),
         ("verify", "one-step", "-k", "1", "--max-n", "1000000"),
@@ -401,6 +408,16 @@ def test_residues_table_and_assert(capsys):
     assert code == 1
     code, _, _ = run(capsys, "residues", "-n", "6", "-k", "3", "--assert")
     assert code == 0
+
+
+def test_residues_counts_past_the_int_digit_limit(capsys):
+    # row 28580 mod 2 is one count, 2^14290, of 4302 digits: past CPython's default limit of 4300
+    outputs = {fmt: run(capsys, "residues", "-n", "28580", "-k", "1", "--format", fmt) for fmt in ("table", "csv", "json")}
+    count = str(1 << 14290)  # the run above lifted the limit in this process
+    assert outputs["table"] == (0, f"residue  count\n1        {count}\nverdict: flat\n", "")
+    assert outputs["csv"] == (0, f"residue,count\n1,{count}\n", "verdict: flat\n")
+    code, out, _ = outputs["json"]
+    assert code == 0 and json.loads(out)["counts"] == {"1": 1 << 14290}
 
 
 def test_residues_csv(capsys):

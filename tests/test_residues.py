@@ -150,7 +150,11 @@ def test_dp_work_guard(monkeypatch):
     # the threshold row stays accepted up to k = 14 (about 4 s, not run here)
     for k in range(1, 15):
         residues._check_dp_work((1 << (k - 1)) + 2, k, 1)
-    residues._check_dp_work(1 << 20, 1, 1)
+    # a single row at k <= 2 is priced at least 4 * half^2: row 524289 is the last accepted
+    for k in (1, 2):
+        residues._check_dp_work(524289, k, 1)
+        with pytest.raises(ValueError, match="guard of"):
+            residues._check_dp_work(524290, k, 1)
 
 
 def test_dp_work_guard_prices_every_row_read_back(monkeypatch):
@@ -186,16 +190,17 @@ def _walks(draw):
 
 
 @given(_walks())
-@example((1 << 20, 1, 1)).via("the largest single row accepted at k = 1")
-@example(((1 << 20) + 2, 1, 1)).via("the smallest single row refused at k = 1")
-@example((741456, 2, 1)).via("the smallest single row refused at k = 2, half = 370728")
+@example((524289, 1, 1)).via("the largest single row accepted at k = 1, half = 2^18")
+@example((524290, 1, 1)).via("the smallest single row refused at k = 1")
+@example((524289, 2, 1)).via("the largest single row accepted at k = 2")
+@example((524290, 2, 1)).via("the smallest single row refused at k = 2")
 @example((8196, 14, 1)).via("the k = 14 threshold row")
 @example((605398, 1, 605396)).via("verify main -k 1 --n-extra 605395, first refused by the read-back price")
 @example((428080, 2, 428081)).via("verify one-step -k 2 --max-n 428079, likewise")
 @example((9957, 14, 1764)).via("verify main -k 14 --n-extra 1763, likewise")
 def test_dp_work_guard_refuses_what_the_read_back_price_refused(walk):
     """Every walk priced over 2^38 by (last//2) * (last//2 + rows - 1) * 2^(k-1) is
-    still refused, and a single row keeps the price (last//2)^2 * 2^(k-1)."""
+    still refused, and a single row has the price (last//2)^2 * 2^max(k-1, 2)."""
     last, k, rows = walk
     half = last // 2
 
@@ -208,7 +213,7 @@ def test_dp_work_guard_refuses_what_the_read_back_price_refused(walk):
 
     if half * (half + rows - 1) << (k - 1) > residues.DP_MAX_WORK:
         assert refused(rows)
-    assert refused(1) == (half * half << (k - 1) > residues.DP_MAX_WORK)
+    assert refused(1) == (half * half << max(k - 1, 2) > residues.DP_MAX_WORK)
 
 
 def test_verify_one_step_scan():
