@@ -220,7 +220,7 @@ def _suite_pi_row(args: argparse.Namespace) -> list[dict[str, Any]]:
     Two implementations of one recurrence, x -> {x, x*r} over the odd r < n:
     the subset-product doubling in residues.pi_rows and the branching rule on
     labels in macdonald.f_valued_rows.  Nothing here ties a label to its word;
-    the tests do, up to rank 16.  Rows compare by dict equality, in C: neither
+    the tests do, up to rank 30.  Rows compare by dict equality, in C: neither
     stores a zero count, so it agrees with Counter's ==.
     """
     check_rank(args.max_n, SUBSET_MAX_RANK)
@@ -355,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--f-valued", action="store_true", help="label DOT nodes with their chain counts (JSON nodes always carry f)")
     p_tree.add_argument("--format", choices=("dot", "json"), default="dot")
     p_tree.add_argument("--out", help="write output to this path instead of stdout")
-    p_tree.set_defaults(cmd=cmd_tree)
+    p_tree.set_defaults(cmd=cmd_tree, parser=p_tree)
 
     p_verify = sub.add_parser("verify", help="run a verification suite; exit 0 iff everything holds")
     suites = p_verify.add_subparsers(dest="suite", required=True)  # each takes only the options it reads
@@ -371,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p_suite.add_argument("-p", "--prime", type=int, action="append", help="prime, repeatable (default 2, 3, 5, 7)")
         p_suite.add_argument("--format", choices=("table", "csv", "json", "jsonl"), default="table")
         p_suite.add_argument("--out", help="write output to this path instead of stdout")
-        p_suite.set_defaults(cmd=cmd_verify)
+        p_suite.set_defaults(cmd=cmd_verify, parser=p_suite)
 
     p_res = sub.add_parser("residues", help="histogram of chain-count residues for one rank")
     p_res.add_argument("-n", "--rank", type=int, required=True)
@@ -390,7 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, stray = parser.parse_known_args(argv)
+        if stray:  # argparse passes a leaf's unknown options up to the root: the leaf reports them, with its usage
+            args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
         if hasattr(sys, "set_int_max_str_digits"):  # CPython 3.10.7+; after parsing, so arguments
             sys.set_int_max_str_digits(0)  # still meet the digit limit and counts of any length print
         return args.cmd(args)

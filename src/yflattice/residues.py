@@ -2,9 +2,9 @@
 
 The chain counts over the odd words of rank n form the multiset of subset
 products of {1, 3, ..., 2*(n//2) - 1}.  This module builds their histograms
-mod 2^k two ways (per-subset enumeration and a convolution), decides
-flatness, and returns the row-threshold and one-step verdicts as the very
-records `yflattice verify main`/`one-step` print.
+mod 2^k two ways (the subset-product walk pi_rows reduced mod 2^k, and a
+convolution), decides flatness, and returns the row-threshold and one-step
+verdicts as the very records `yflattice verify main`/`one-step` print.
 
 Every odd residue mod 2^k is (-1)^s * 5^e, so a histogram is an element of
 the group ring Z[C2 x C_L], L = 2^(k-2), and folding in a factor c
@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import pairwise, repeat, starmap
-from operator import add, lshift, mul, rshift, sub
-from typing import Any, Iterable, Iterator, NamedTuple
+from operator import add, lshift, mod, mul, rshift, sub
+from typing import Any, Iterator, NamedTuple
 
 from .core import SUBSET_MAX_RANK, check_rank
 
@@ -33,18 +33,6 @@ from .core import SUBSET_MAX_RANK, check_rank
 def _row_factors(n: int) -> range:
     """The odd factors available in row n: 1, 3, ..., 2*(n//2) - 1."""
     return range(1, 2 * (n // 2), 2)
-
-
-def _subset_products(factors: Iterable[int], m: int | None = None) -> list[int]:
-    """The product of every subset of factors, empty product included.
-
-    Doubles the list once per factor.  With a modulus m every product is
-    reduced as it is formed, so the integers stay small.
-    """
-    prods = [1]
-    for c in factors:
-        prods += [p * c % m for p in prods] if m else [p * c for p in prods]
-    return prods
 
 
 # A histogram mod 2^k holds 2^(k-1) buckets: residues -n 10 -k 20 peaks at
@@ -71,13 +59,12 @@ class ResidueHistogram(NamedTuple):
 def residue_histogram_enum(n: int, k: int) -> ResidueHistogram:
     """Histogram mod 2^k of row n's chain counts, one subset at a time.
 
-    Walks all 2^(n//2) block-tag subsets and reduces each product as it
-    goes; the slow reference path for residue_histogram_dp.
+    The last row of the subset-product walk pi_rows(n, 2^k); the slow
+    reference path for residue_histogram_dp.
     """
     _check_modulus_pow(k)
-    check_rank(n, SUBSET_MAX_RANK)
     m = 1 << k
-    tally = Counter(_subset_products(_row_factors(n), m))
+    tally = deque(pi_rows(n, m), maxlen=1)[0][1]  # the walk's rank guard runs here, before any product
     return ResidueHistogram(m, {r: tally.get(r, 0) for r in range(1, m, 2)})
 
 
@@ -283,15 +270,16 @@ def verify_one_step(k: int, n_max: int) -> list[dict[str, Any]]:
     return records
 
 
-def pi_rows(last: int) -> Iterator[tuple[int, Counter[int]]]:
+def pi_rows(last: int, m: int = 0) -> Iterator[tuple[int, Counter[int]]]:
     """Rows 0 through last with their multisets of subset products, in one pass.
 
     The product list doubles once per factor a row adds to the row before
-    it, and only the new products are tallied, so rows 2m and 2m + 1 share
-    their work.  The last row's last factor is only tallied: no later row
-    reads its products.  The guard runs before the first product.  Each row
-    yields the one tally, which the next row grows in place: read a row
-    before asking for the next.
+    it, and only the new products are tallied, so rows 2j and 2j + 1 share
+    their work.  Given a modulus m (residue_histogram_enum's 2^k), each
+    product is reduced mod m as it is formed.  The last row's last factor is
+    only tallied: no later row reads its products.  The guard runs before
+    the first product.  Each row yields the one tally, which the next row
+    grows in place: read a row before asking for the next.
     """
     check_rank(last, SUBSET_MAX_RANK)
     top = max(_row_factors(last), default=None)
@@ -300,6 +288,8 @@ def pi_rows(last: int) -> Iterator[tuple[int, Counter[int]]]:
         factors = _row_factors(n)
         for c in factors[folded:]:
             new = map(mul, prods, repeat(c))
+            if m:
+                new = map(mod, new, repeat(m))
             if c != top:
                 new = list(new)
                 prods += new

@@ -60,7 +60,8 @@ def test_enumerate_usage_errors(capsys):
 
 
 def test_options_a_command_ignores_are_usage_errors(capsys):
-    # a verify suite takes only its own options, so argparse names any other as typed
+    # a verify suite takes only its own options, so argparse names any other as typed,
+    # under the usage line of the command or suite that was given it
     for argv, message in (
         (["enumerate", "-n", "3", "-p", "3"], "--prime/-p"),
         (["enumerate", "-n", "3", "--filter", "odd", "-p", "3"], "--prime/-p"),
@@ -72,9 +73,12 @@ def test_options_a_command_ignores_are_usage_errors(capsys):
         (["verify", "oracle", "--n-extra", "5", "--max-n", "3"], "unrecognized arguments: --n-extra"),
         (["verify", "one-step", "-k", "3", "--n-extra", "1"], "unrecognized arguments: --n-extra"),
         (["verify", "pi-row", "-p", "3"], "unrecognized arguments: -p"),
+        (["tree", "--max-rank", "3", "--bogus"], "unrecognized arguments: --bogus"),
     ):
         code, out, err = run(capsys, *argv)
+        leaf = " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
         assert code == 2 and out == "" and message in err, argv
+        assert err.startswith(f"usage: yflattice {leaf} "), argv
 
 
 def test_tree_dot(capsys):

@@ -3,7 +3,7 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from yflattice import macdonald
+from yflattice import macdonald, residues
 from yflattice import (
     build_tree,
     covers_up,
@@ -106,6 +106,15 @@ def test_build_tree_labels_are_chain_counts():
     for row in build_tree(16).rows():
         for node in row:
             assert node.f == f_product(node.word)
+
+
+def test_tree_labels_are_chain_counts_to_the_tree_guard():
+    # every rank tree_rows accepts: each label against its word, each row against pi_rows
+    for (n, products), row in zip(residues.pi_rows(30), tree_rows(30)):
+        for word, f in row:
+            assert f == f_product(word) and f % 2 == 1, (n, word)
+        assert Counter(f for _, f in row) == products, n
+    assert n == 30
 
 
 def test_build_tree_rows_are_the_odd_rows():

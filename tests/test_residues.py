@@ -1,4 +1,6 @@
 from collections import Counter
+from itertools import combinations
+from math import prod
 from operator import add
 import tracemalloc
 
@@ -365,10 +367,11 @@ def test_pi_multiset_guards():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=24))
 def test_pi_rows_are_fresh_rows(last):
-    # read one row at a time, as the walk asks; the list route is the reference
+    # read one row at a time, as the walk asks; every subset's product, one by one, is the reference
     n = -1
     for n, products in residues.pi_rows(last):
-        assert products == pi_multiset(n) == Counter(residues._subset_products(range(1, 2 * (n // 2), 2)))
+        factors = range(1, 2 * (n // 2), 2)
+        assert products == pi_multiset(n) == Counter(prod(s) for r in range(len(factors) + 1) for s in combinations(factors, r))
         assert 0 not in products.values()
     assert n == last
 
@@ -380,3 +383,15 @@ def test_pi_rows_guard_before_any_product(monkeypatch):
     monkeypatch.setattr(residues, "_row_factors", refuse)
     with pytest.raises(ValueError, match="guard of 40"):
         next(residues.pi_rows(41))
+
+
+def test_enum_guards_before_any_product(monkeypatch):
+    # the enumeration is pi_rows' walk: its rank guard refuses row 41, after the modulus check
+    def refuse(n):
+        raise AssertionError(f"factors of row {n} taken before the guard")
+
+    monkeypatch.setattr(residues, "_row_factors", refuse)
+    with pytest.raises(ValueError, match="guard of 40"):
+        residue_histogram_enum(41, 3)
+    with pytest.raises(ValueError, match="modulus exponent must be at least 1"):
+        residue_histogram_enum(41, 0)
