@@ -3,8 +3,8 @@
 Two independent routes are kept side by side.  f_recursive follows the
 defining recursion (sum over the covered words) and serves as the oracle;
 f_product is the O(length) per-word path, a hook-length analog with one
-factor per 2 in the word.  f_mod evaluates the product form modulo m with
-every intermediate reduced, so huge rows never touch big integers.
+factor per 2 in the word; f_mod is f_product reduced mod m.  _factor is the
+one loop over a word's 2s.
 
 Whole rows take the block walk, f_blocks and f_row: a head followed by a
 tail of rank s has the count g * f(tail), where the head factor g has one
@@ -75,13 +75,7 @@ def f_row(n: int) -> Iterator[tuple[Word, int]]:
 
 
 def f_mod(w: Word, m: int) -> int:
-    """f_product(w) reduced modulo m, with all intermediates reduced."""
+    """f_product(w) reduced mod m, for m at least 2."""
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
-    suffix = 0
-    f = 1
-    for x in reversed(w):
-        suffix += x
-        if x == 2:
-            f = f * (suffix - 1) % m
-    return f
+    return f_product(w) % m

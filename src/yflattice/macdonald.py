@@ -1,9 +1,9 @@
 """Odd words and the Macdonald tree of the Young-Fibonacci lattice.
 
-A word is odd when its chain count is odd; equivalently, every 2 in it has
-an even number of 1s to its right, so the word splits uniquely into blocks
-2 / 11 after an optional leading 1 (present exactly at odd rank).  The odd
-words induce a binary tree: an even-rank node has the single child 1w, an
+A word is odd when its chain count is odd, exactly when it splits into
+blocks 2 / 11 after an optional leading 1 (present exactly at odd rank):
+the split rule of primes.is_coprime_structural at p = 2.  The odd words
+induce a binary tree: an even-rank node has the single child 1w, an
 odd-rank node w = 1v has the two children 11v and 2v.
 """
 
@@ -14,21 +14,12 @@ from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .core import EMPTY_WORD, SUBSET_MAX_RANK, TREE_MAX_RANK, Word, check_rank, rank, word_text
+from .primes import is_coprime_structural
 
 
 def is_odd_word(w: Word) -> bool:
-    """True iff the chain count of w is odd.
-
-    Checked structurally: every 2 must see an even number of 1s to its
-    right, which makes every factor of the product form odd.
-    """
-    ones = 0
-    for x in reversed(w):
-        if x == 1:
-            ones += 1
-        elif ones % 2:
-            return False
-    return True
+    """True iff the chain count of w is odd: the coprime split rule at p = 2."""
+    return is_coprime_structural(w, 2)
 
 
 def _branch(row: list[tuple[Word, int]], r: int) -> list[tuple[Word, int]]:

@@ -104,8 +104,9 @@ def coprime_count(p: int, n: int) -> int:
 def residue_distribution_mod_p(n: int, p: int) -> dict[int, int]:
     """Counts of nonzero chain-count residues mod an odd prime over rank n.
 
-    Reporting only: unlike the power-of-two case these need not flatten
-    out, and no verdict is attached.
+    Counts only: unlike the power-of-two case these need not flatten out.
+    The CLI's verdict on them is is_equidistributed over the p - 1 nonzero
+    residues.
     """
     check_prime(p)
     if p == 2:

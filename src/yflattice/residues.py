@@ -36,9 +36,9 @@ def _row_factors(n: int) -> range:
 
 
 # A histogram mod 2^k holds 2^(k-1) buckets: residues -n 10 -k 20 peaks at
-# about 101 MiB as a table or CSV and 149 MiB as JSON, verify one-step -k 20
-# --max-n 4 at about 186 MiB (2-core x86-64 VM), and each further step of k
-# doubles that.
+# 98-100 MiB as a table, CSV or JSON, and verify one-step -k 20 --max-n 2, the
+# last run the DP guard accepts at k = 20, at 178 MiB in 1.7-2.1 s (2-core
+# x86-64 VM); each further step of k doubles that.
 MODULUS_MAX_POW = 20
 
 

@@ -48,6 +48,7 @@ CASES = [
     ("residues -n 1000 -k 12 --format csv", 0, "dbdd93c946ad0705c063cb5574bd74aee48c5eb0328b75eff2f83cb59e4651f9"),
     ("residues -n 8 -p 5 --format csv", 0, "748665a24e9ccc368bfade0dbc507842304eae1551998ff7bc3d3b506db75617"),
     ("residues -n 7 -p 5 --format json", 0, "41167cbcacee3a1caf286129a2b3c60bb49b0b61877e88117c4115a25bfa84f7"),
+    ("residues -n 5 -p 7 --assert", 1, "bf2fbfc2ba0ebc090f94195e4b887e39ff1f4e51d3e76048852df40888f2cdd3"),
     ("verify main -k 5 --n-extra 10", 0, "14765ddffd202fdfa6766d7a1daf37b1102cfa5eff5f81a502857f7872cce324"),
     ("verify one-step -k 3 --max-n 40", 0, "630e781f970e5a417ea90e9d774042ee1c808bd37786c84ff0ba3a995c60afc3"),
     ("verify pi-row --max-n 16", 0, "f1a8336c61ee98e0546419f20530598af36001c39181dba8377bedc0d1ddb10d"),
@@ -90,6 +91,7 @@ REFUSED = [
     "residues -n 10 -k 21",
     "residues -n 25 -p 7",
     "residues -n 5 -p 524309",
+    "residues -n 5 -p 524289",
     "residues -n 5 -p 9",
 ]
 

@@ -74,7 +74,7 @@ def test_prefix_rules(w):
 
 @given(words, st.sampled_from([2, 3, 4, 8, 16, 101]))
 def test_f_mod_matches_full_value(w, m):
-    assert f_mod(w, m) == f_product(w) % m
+    assert f_mod(w, m) == f_recursive(w) % m
 
 
 def test_f_recursive_refuses_ranks_past_the_row_guard():

@@ -183,6 +183,11 @@ def test_dp_work_guard_prices_every_row_read_back(monkeypatch):
     residues._check_dp_work(8196, 14, 3)
     residues._check_dp_work(4110, 13, 13)
     residues._check_dp_work(205, 8, 206)
+    # the MODULUS_MAX_POW comment's example, verify one-step -k 20 --max-n 2
+    # (rows 0..3), is the last run accepted at k = 20
+    residues._check_dp_work(3, 20, 4)
+    with pytest.raises(ValueError, match="guard of 274877906944"):
+        residues._check_dp_work(4, 20, 5)
 
 
 @st.composite
