@@ -17,13 +17,16 @@ sends to 0 stays 0 and is dropped, and outside the trivial component (the
 row size) the coefficients stay near 200 bits at k = 13, where the bucket
 counts reach 2038.  One walk over consecutive rows, _walk, makes every fold
 and reads each row's histogram back exactly: it serves the single
-histogram, the threshold scan and the step law alike.
+histogram, the threshold scan and the step law alike.  Its first row folds
+2^i + 1 and 2^i - 1 (i = k-1 down to 2) first, which kill the widest
+components first; the ring is commutative, so the order changes only the
+cost, and no fold is skipped: the verdict reads the full read-back.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import pairwise, repeat, starmap
+from itertools import chain, filterfalse, pairwise, repeat, starmap
 from operator import add, lshift, mod, mul, rshift, sub
 from typing import Any, Iterator, NamedTuple
 
@@ -79,9 +82,9 @@ def residue_histogram_enum(n: int, k: int) -> ResidueHistogram:
 # count (adds, shifts and hashes of counts up to half bits), 2^17 per count
 # (the dicts and sets of the records and of one-step's multiplicative_shift)
 # and 2^21 per row.  On a 2-core x86-64 VM the threshold row 2^(k-1)+2 takes
-# 0.5 s at k = 13 (W ~ 2^34), 2.1-2.6 s at k = 14 (2^37) and 8.9 s at k = 15
-# (2^40, refused).  The last runs accepted for k from 1 to 14 take 1.3-5.1 s:
-# the last single row at k = 1 and 2, row 524289, 4.9-5.1 s and 3.2 s.
+# 0.11 s at k = 13 (W ~ 2^34), 0.13 s at k = 14 (2^37) and 0.2 s at k = 15
+# (2^40, refused).  The last runs accepted for k from 1 to 14 take 0.6-4.7 s:
+# the last single row at k = 1 and 2, row 524289, 4.1-4.7 s and 3.0 s.
 DP_MAX_WORK = 1 << 38
 
 
@@ -172,10 +175,11 @@ def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, ResidueHistogram]]:
     """Rows n through last with their histograms mod 2^k, in one pass.
 
     Every guard runs before the first fold, the DP work priced by the last
-    row's folds and every row read back.  Row n folds its own factors into
-    the unit components; each later row folds in only the factors the row
-    before it lacks, and each row is read back from the components on its
-    own.  All rows share one discrete-log table and one list of residue keys.
+    row's folds and every row read back.  Row n folds its factors into the
+    unit components, 2^i + 1 and 2^i - 1 first so that the widest die first
+    (the ring is commutative: only the cost changes; no fold is skipped);
+    each later even row folds its one new factor, row - 1.  Every row is
+    read back on its own, with one discrete-log table and residue key list.
     """
     _check_modulus_pow(k)
     check_rank(n)
@@ -184,12 +188,13 @@ def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, ResidueHistogram]]:
     keys = list(range(1, 1 << k, 2))
     size = max(1, len(dlog) // 2)
     state = _unit(size)
-    folded = 0
+    factors = _row_factors(n)
+    lead = dict.fromkeys(c for i in range(k - 1, 1, -1) for c in (2**i + 1, 2**i - 1) if c in factors)
+    for c in chain(lead, filterfalse(lead.__contains__, factors)):
+        state = _fold(state, c, dlog)
     for row in range(n, last + 1):
-        factors = _row_factors(row)
-        for c in factors[folded:]:
-            state = _fold(state, c, dlog)
-        folded = len(factors)
+        if row > n and row % 2 == 0:
+            state = _fold(state, row - 1, dlog)
         yield row, ResidueHistogram(1 << k, dict(zip(keys, map(_read_back(state, size).__getitem__, dlog))))
 
 

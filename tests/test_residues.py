@@ -149,7 +149,7 @@ def test_dp_work_guard(monkeypatch):
     ):
         with pytest.raises(ValueError, match="guard of"):
             refused()
-    # the threshold row stays accepted up to k = 14 (about 4 s, not run here)
+    # the threshold row stays accepted up to k = 14 (test_k14_threshold_row runs it)
     for k in range(1, 15):
         residues._check_dp_work((1 << (k - 1)) + 2, k, 1)
     # a single row at k <= 2 is priced at least 4 * half^2: row 524289 is the last accepted
@@ -223,6 +223,12 @@ def test_dp_work_guard_refuses_what_the_read_back_price_refused(walk):
     assert refused(1) == (half * half << max(k - 1, 2) > residues.DP_MAX_WORK)
 
 
+def test_k14_threshold_row():
+    flat, before = residue_histogram_dp(8194, 14), residue_histogram_dp(8193, 14)
+    assert is_equidistributed(flat) and not is_equidistributed(before)
+    assert (sum(flat.counts.values()), sum(before.counts.values())) == (1 << 4097, 1 << 4096)
+
+
 def test_verify_one_step_scan():
     verdicts = verify_one_step(3, 12)
     assert len(verdicts) == 13
@@ -286,6 +292,27 @@ def test_walk_matches_bucket_reference():
             last = (1 << (k - 1)) + 40
             for (n, got), (m, want) in zip(residues._walk(k, start, last), _bucket_walk(k, start, last), strict=True):
                 assert (n, list(got.counts.items())) == (m, list(want.counts.items())), (k, n)
+
+
+@given(st.integers(1, 9), st.data())
+@settings(max_examples=60, deadline=None)
+def test_walk_from_any_row_matches_bucket_reference(k, data):
+    """The first row folds 2^i +- 1 first; the reference folds 1, 3, 5, ... in order."""
+    n = data.draw(st.integers(0, (1 << k) + 40))
+    last = n + data.draw(st.integers(0, 3))
+    for (m, got), (r, want) in zip(residues._walk(k, n, last), _bucket_walk(k, n, last), strict=True):
+        assert (m, list(got.counts.items())) == (r, list(want.counts.items())), (k, m)
+
+
+def test_threshold_row_folds_widest_component_first(monkeypatch):
+    """Summed over the folds, the live components of the threshold row hold at most 3 * 2^(k-1)
+    coefficients: the folds 2^i +- 1 kill every nontrivial component within 2(k-2) folds."""
+    fold, live = residues._fold, []
+    monkeypatch.setattr(residues, "_fold", lambda state, *a: live.extend(map(len, state.values())) or fold(state, *a))
+    for k in range(1, 15):
+        live.clear()
+        assert is_equidistributed(residue_histogram_dp((1 << (k - 1)) + 2, k))
+        assert sum(live) <= 3 << (k - 1), (k, sum(live))
 
 
 def test_walk_rows_are_nonnegative_with_full_mass():
