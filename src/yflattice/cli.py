@@ -280,19 +280,8 @@ def _suite_oracle(args: argparse.Namespace) -> list[dict[str, Any]]:
     return [check(n) for n in range(args.max_n + 1)]
 
 
-# The lambdas look verify_main_theorem/verify_one_step up in this module's
-# globals at each call, so a wrapper bound there (perfbench/tracer.py) sees it.
-_SUITES = {
-    "main": lambda args: verify_main_theorem(args.modulus_pow, args.n_extra),
-    "one-step": lambda args: verify_one_step(args.modulus_pow, args.max_n),
-    "pi-row": _suite_pi_row,
-    "coprime": _suite_coprime,
-    "oracle": _suite_oracle,
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    records = _SUITES[args.suite](args)
+    records = args.run(args)
     ok = all(r["ok"] for r in records)
     if args.format == "json":
         chunks = _json({"ok": ok, "records": records})
@@ -359,7 +348,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite; exit 0 iff everything holds")
     suites = p_verify.add_subparsers(dest="suite", required=True)  # each takes only the options it reads
-    for suite, max_n in (("main", None), ("one-step", 12), ("pi-row", 16), ("coprime", 18), ("oracle", 12)):
+    # The lambdas look verify_main_theorem/verify_one_step up in this module's
+    # globals at each call, so a wrapper bound there (perfbench/tracer.py) sees it.
+    for suite, max_n, run in (
+        ("main", None, lambda args: verify_main_theorem(args.modulus_pow, args.n_extra)),
+        ("one-step", 12, lambda args: verify_one_step(args.modulus_pow, args.max_n)),
+        ("pi-row", 16, _suite_pi_row),
+        ("coprime", 18, _suite_coprime),
+        ("oracle", 12, _suite_oracle),
+    ):
         p_suite = suites.add_parser(suite)
         if suite in ("main", "one-step"):
             p_suite.add_argument("-k", "--modulus-pow", type=int, required=True, help="modulus exponent")
@@ -371,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p_suite.add_argument("-p", "--prime", type=int, action="append", help="prime, repeatable (default 2, 3, 5, 7)")
         p_suite.add_argument("--format", choices=("table", "csv", "json", "jsonl"), default="table")
         p_suite.add_argument("--out", help="write output to this path instead of stdout")
-        p_suite.set_defaults(cmd=cmd_verify, parser=p_suite)
+        p_suite.set_defaults(cmd=cmd_verify, run=run, parser=p_suite)
 
     p_res = sub.add_parser("residues", help="histogram of chain-count residues for one rank")
     p_res.add_argument("-n", "--rank", type=int, required=True)

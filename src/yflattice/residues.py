@@ -15,12 +15,12 @@ into Z and the rings Z[x]/(x^D + 1), and there a factor is a (nega)cyclic
 rotation plus one C-level add per coefficient.  A component that the factor
 sends to 0 stays 0 and is dropped, and outside the trivial component (the
 row size) the coefficients stay near 200 bits at k = 13, where the bucket
-counts reach 2038.  One walk over consecutive rows, _walk, makes every fold
-and reads each row's histogram back exactly: it serves the single
-histogram, the threshold scan and the step law alike.  Its first row folds
-2^i + 1 and 2^i - 1 (i = k-1 down to 2) first, which kill the widest
-components first; the ring is commutative, so the order changes only the
-cost, and no fold is skipped: the verdict reads the full read-back.
+counts reach 2038.  One walk over consecutive rows, _walk, serves the single
+histogram, the threshold scan and the step law: its first row folds 2^i + 1
+and 2^i - 1 (i = k-1 down to 2) first, which kill the widest components
+first (the ring is commutative: only the cost changes, and no fold is
+skipped), and each later row folds what _row_factors adds, so the step law
+stays a route of its own.  Every row is read back exactly.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, ResidueHistogram]]:
     row's folds and every row read back.  Row n folds its factors into the
     unit components, 2^i + 1 and 2^i - 1 first so that the widest die first
     (the ring is commutative: only the cost changes; no fold is skipped);
-    each later even row folds its one new factor, row - 1.  Every row is
-    read back on its own, with one discrete-log table and residue key list.
+    each later row folds what _row_factors adds to it.  Every row is read
+    back on its own, with one discrete-log table and residue key list.
     """
     _check_modulus_pow(k)
     check_rank(n)
@@ -193,8 +193,10 @@ def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, ResidueHistogram]]:
     for c in chain(lead, filterfalse(lead.__contains__, factors)):
         state = _fold(state, c, dlog)
     for row in range(n, last + 1):
-        if row > n and row % 2 == 0:
-            state = _fold(state, row - 1, dlog)
+        if row > n:
+            before, factors = len(factors), _row_factors(row)
+            for c in factors[before:]:
+                state = _fold(state, c, dlog)
         yield row, ResidueHistogram(1 << k, dict(zip(keys, map(_read_back(state, size).__getitem__, dlog))))
 
 

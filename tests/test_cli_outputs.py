@@ -2,9 +2,10 @@
 
 Each case is an argv, its exit code and the digest of everything it writes
 to stdout.  The list covers every README `sh` example, each `--format` of
-`enumerate`, `tree`, `residues -k`/`-p` and the five `verify` suites, so a
-refactor that changes a byte of output fails here.  Stderr and `--help` are
-left out: argparse words them differently across Python versions.
+`enumerate`, `tree`, `residues -k`/`-p` and the five `verify` suites, each
+suite's defaults, and the largest runs the guards accept, so a refactor that
+changes a byte of output fails here.  Stderr and `--help` are left out:
+argparse words them differently across Python versions.
 
 After an intended change of output, print the new digests with
 
@@ -71,6 +72,26 @@ CASES = [
     ("verify oracle --max-n 6 --format csv", 0, "5bc5caff484beada141bfc13dfa54693c8b2157825e38fb90e48c0103abacfe1"),
     ("verify oracle --max-n 6 --format json", 0, "e92b1f18fd03e8b9fd25048017d24c03a690874ad732580b0020dadf98c934a2"),
     ("verify oracle --max-n 6 --format jsonl", 0, "adee7bcb4c7e1621aa928989061a502051e5b1ca79dd2a3660bd3f5f1fc91903"),
+    ("verify one-step -k 3", 0, "07fa051bc3f681151af338127267afa843cfdb66e9669a34f164c64d31a23b82"),
+    ("verify pi-row", 0, "f1a8336c61ee98e0546419f20530598af36001c39181dba8377bedc0d1ddb10d"),
+    ("verify oracle", 0, "82cbc4e9de1935a7166c75ecb4364c7ff36116e2363ef5ad3f36ddf5ed2d7fa1"),
+    # The largest runs the guards accept, about 5 s together:
+    ("verify oracle --max-rank 24 --format json", 0, "fbc73ee108c4d2b5cbcb52cf2a914d7cdaf170b2887de767cbfba690718814cc"),
+    ("tree --max-rank 30 --f-valued", 0, "e892c8b1b108cc833c1182cf8cf37488bca24828eb8c8f2768e2846e3331ef7c"),
+    ("tree --max-rank 30 --f-valued --format json", 0, "9230bf6d4f5004fd99a3ae8009178c13c60601b3a642d9534ec9423470d89a78"),
+    ("enumerate -n 24 --format table", 0, "4b2497ca508a8e0be75413b324bce2789c1d98e2b673c3d0d321c0f3db7b3d4c"),
+    ("enumerate -n 24 --format csv", 0, "95b88ffb2e7214ecd793282911da34d7154ef88f01a46ff744a32ed3d662a968"),
+    ("enumerate -n 24 --format json", 0, "3947b5cc8924988b7a9b0cd44906945d8cba2679d58f90d0a229e0ae76f25d7e"),
+    ("enumerate -n 24 --format jsonl", 0, "baf5e2f040e5878d85bf35de1da49c56375e55ffb9371a66acf6ab413cb68f3c"),
+    ("verify coprime --max-n 24 --format json", 0, "7f4d3d4936a529977ced250fb87f875e1fd0291b6e6629e448979ea4ee9197fc"),
+    ("residues -n 24 -p 13", 0, "3ac0f2aa21f47ea40cae7d0c991e30e675ffdb0eb5bc0db1df7111457131f1fc"),
+    ("enumerate -n 24 --filter coprime -p 7 --format csv", 0, "6f2420930390944e4d14177520fcb02340ef4b2d130a4951155c14ca0433bbea"),
+    ("verify main -k 14 --n-extra 2 --format json", 0, "853fd9c3e2c0a7b16342300c4680b491ece8813bbe421eae1c719a5e6065ed60"),
+    ("residues -n 4098 -k 13 --assert --format json", 0, "e15d08363b790af6436d6ae0f449a00865f7281b6950efc5308e2bc5fe79f9d8"),
+    ("residues -n 8194 -k 14 --assert --format json", 0, "a3bb6a4813c02e2b9d0e2066b64af8c67c081a44d7ab88275bdf9808c2aafbbb"),
+    ("residues -n 8193 -k 14 --assert --format json", 1, "f17aabdf28b7657231feb5b9dae3ad2f814b7d8110ea237eae78ce3a3debc989"),
+    ("verify pi-row --max-n 40 --format json", 0, "2a61e4ad33f2a88320f52b4ca1e8cddfd3f9e9f10447fc24b173613f4268856f"),
+    ("residues -n 40 -k 12 --method enum --format json", 0, "398830139aae317e6ea1c5d9bf829b4f6753e1345fc723eab06ead0c370eb88d"),
 ]
 
 # Domain guards: exit 1 before any output.

@@ -1,3 +1,5 @@
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
@@ -154,10 +156,13 @@ def test_residue_distribution_not_flat_witnesses():
 
 
 def test_residue_distribution_counts_coprime_words():
-    for n in range(9):
-        counts = residue_distribution_mod_p(n, 5)
-        expected = sum(1 for w in enumerate_rank(n) if f_product(w) % 5)
-        assert sum(counts.values()) == expected
+    # every bucket against one f_product per word
+    for n in range(17):
+        fs = [f_product(w) for w in enumerate_rank(n)]
+        for p in (3, 5, 7, 11, 13, 29):
+            tally = Counter(f % p for f in fs)
+            assert residue_distribution_mod_p(n, p) == {r: tally[r] for r in range(1, p)}, (n, p)
+        assert 0 not in tally  # at p = 29 every factor is below p: no word lands in bucket 0
 
 
 def test_residue_distribution_guards():

@@ -22,6 +22,7 @@ from yflattice import (
     verify_main_theorem,
     verify_one_step,
 )
+from yflattice.cli import main
 
 
 def test_enum_known_histograms():
@@ -344,6 +345,17 @@ def test_verify_one_step_catches_wrong_shift(monkeypatch):
     shift = residues.multiplicative_shift
     monkeypatch.setattr(residues, "multiplicative_shift", lambda h, c: shift(h, c + 2))
     assert not all(v["step_identity"] for v in verify_one_step(3, 12))
+
+
+def test_verify_one_step_catches_wrong_row_factors(capsys, monkeypatch):
+    # mutation: from row 6 on, each row takes one odd factor too many (row 6 holds 1, 3, 5, 7); the
+    # walk folds what _row_factors adds, the step law adds the shift by n, so the two routes part
+    true_rows = residues._row_factors
+    monkeypatch.setattr(residues, "_row_factors", lambda n: range(1, 2 * (n // 2) + 2, 2) if n >= 6 else true_rows(n))
+    assert [v["n"] for v in verify_one_step(3, 12) if not v["step_identity"]] == [5]
+    assert [v["n"] for v in verify_one_step(5, 20) if not v["step_identity"]] == [5, 7, 9, 11, 13, 15]
+    assert main(["verify", "one-step", "-k", "3"]) == 1
+    assert capsys.readouterr().err == "FAIL: suite one-step\n"
 
 
 def test_verify_one_step_flags_lost_flatness(monkeypatch):
