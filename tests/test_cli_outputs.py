@@ -1,11 +1,20 @@
-"""Stdout identity: fixed command lines against the sha256 of their output.
+"""The CLI's contract: fixed command lines and what each must give.
 
-Each case is an argv, its exit code and the digest of everything it writes
-to stdout.  The list covers every README `sh` example, each `--format` of
-`enumerate`, `tree`, `residues -k`/`-p` and the five `verify` suites, each
-suite's defaults, and the largest runs the guards accept, so a refactor that
-changes a byte of output fails here.  Stderr and `--help` are left out:
-argparse words them differently across Python versions.
+- CASES: argv, exit code and the sha256 of all of stdout.  They cover every
+  README `sh` example, each `--format` of `enumerate`, `tree`, `residues
+  -k`/`-p` and the five `verify` suites, each suite's defaults, and the
+  largest runs the guards accept, so a change of one byte of output fails.
+- REFUSED: argv and the limit it breaks.  Exit 1, empty stdout, and stderr
+  `error: ...` naming the limit, with the DP's fold made to raise, so each
+  refusal comes before any fold.
+- USAGE: argv and the option or message at fault.  Exit 2, empty stdout,
+  and stderr that starts `usage: yflattice <leaf> ` and names it.
+
+Only these parts of stderr are checked, because they read the same on
+Python 3.10-3.12: the `error: ...` text is the program's own, and argparse
+starts each usage error with `usage: ` and the leaf's prog.  The rest of a
+usage line wraps with the terminal width and `--help` is worded differently
+across versions, so neither is pinned.
 
 After an intended change of output, print the new digests with
 
@@ -13,10 +22,12 @@ After an intended change of output, print the new digests with
 """
 
 import hashlib
+import json
 import shlex
 
 import pytest
 
+from yflattice import residues
 from yflattice.cli import main
 
 CASES = [
@@ -31,6 +42,7 @@ CASES = [
     ("enumerate -n 13 --filter odd --format jsonl", 0, "840a2a48ffd5a7b9487ee7e9f92cb3cc2ced6dd77768be05a65675b377087f00"),
     ("enumerate -n 12", 0, "b092e9be75923bfc1743607d6e2ba5dd8ac0813ed35c2c421116d39cd01f0e5c"),
     ("enumerate -n 11 --filter odd", 0, "ecffd9547c89355ce0585cf59a98ede486a167fb162e8a94ed8735b5f146590c"),
+    ("tree --max-rank 0", 0, "eafe2ba753c612f22458fee15c22024a742b1755baae6500b0069d5dd9b3f5a5"),
     ("tree --max-rank 7 --format dot", 0, "b83db8b90892f0d91f2da493fcb9ca609278bb6464ed3dfe353bb2ad2593cf24"),
     ("tree --max-rank 6 --f-valued --format json", 0, "2bccd8c7d0dbd43eafbbead99d069fbb2346bb4532cc82ed20810ff4b476debe"),
     ("tree --max-rank 5 --f-valued", 0, "6ff26ff32af6dc55a66711f66a0d4a2f9a770dc608501cf9109eab74bd06a508"),
@@ -88,60 +100,140 @@ CASES = [
     ("enumerate -n 24 --filter coprime -p 7 --format csv", 0, "6f2420930390944e4d14177520fcb02340ef4b2d130a4951155c14ca0433bbea"),
     ("verify main -k 14 --n-extra 2 --format json", 0, "853fd9c3e2c0a7b16342300c4680b491ece8813bbe421eae1c719a5e6065ed60"),
     ("residues -n 4098 -k 13 --assert --format json", 0, "e15d08363b790af6436d6ae0f449a00865f7281b6950efc5308e2bc5fe79f9d8"),
-    ("residues -n 8194 -k 14 --assert --format json", 0, "a3bb6a4813c02e2b9d0e2066b64af8c67c081a44d7ab88275bdf9808c2aafbbb"),
-    ("residues -n 8193 -k 14 --assert --format json", 1, "f17aabdf28b7657231feb5b9dae3ad2f814b7d8110ea237eae78ce3a3debc989"),
     ("verify pi-row --max-n 40 --format json", 0, "2a61e4ad33f2a88320f52b4ca1e8cddfd3f9e9f10447fc24b173613f4268856f"),
     ("residues -n 40 -k 12 --method enum --format json", 0, "398830139aae317e6ea1c5d9bf829b4f6753e1345fc723eab06ead0c370eb88d"),
 ]
 
-# Domain guards: exit 1 before any output.
+# The k = 14 threshold row and the row before it, which test_k14_threshold_row
+# walks once each: its code and digest as in CASES, then its JSON's counts.
+THRESHOLD = [
+    ("residues -n 8194 -k 14 --assert --format json", 0, "a3bb6a4813c02e2b9d0e2066b64af8c67c081a44d7ab88275bdf9808c2aafbbb"),
+    ("residues -n 8193 -k 14 --assert --format json", 1, "f17aabdf28b7657231feb5b9dae3ad2f814b7d8110ea237eae78ce3a3debc989"),
+]
+
+DP_GUARD = "guard of 274877906944"  # residues.DP_MAX_WORK, 2^38
+
 REFUSED = [
-    "verify main -k 0",
-    "verify main -k 15",
-    "verify main -k 21",
-    "verify main -k 3 --n-extra -1",
-    "verify one-step -k 3 --max-n -1",
-    "verify pi-row --max-n 41",
-    "verify coprime --max-n 25",
-    "verify oracle --max-rank 25",
-    "enumerate -n 25",
-    "enumerate -n -2",
-    "tree --max-rank 31",
-    "residues -n 41 -k 3 --method enum",
-    "residues -n 1000000000 -k 3",
-    "residues -n 10 -k 21",
-    "residues -n 25 -p 7",
-    "residues -n 5 -p 524309",
-    "residues -n 5 -p 524289",
-    "residues -n 5 -p 9",
+    # whole rows stop at rank 24, subset products at 40, the tree at 30
+    ("enumerate -n 25", "guard of 24"),
+    ("verify coprime --max-n 25", "guard of 24"),
+    ("verify oracle --max-rank 25", "guard of 24"),
+    ("residues -n 25 -p 7", "guard of 24"),
+    ("verify pi-row --max-n 41", "guard of 40"),
+    ("residues -n 41 -k 3 --method enum", "guard of 40"),
+    ("residues -n 50 -k 3 --method enum", "guard of 40"),
+    ("tree --max-rank 31", "guard of 30"),
+    ("tree --max-rank 99", "guard of 30"),
+    # modulus exponent 20, and 2^19 buckets for -p
+    ("verify main -k 21", "guard of 20"),
+    ("residues -n 10 -k 21", "guard of 20"),
+    ("residues -n 4 -k 30", "guard of 20"),
+    ("residues -n 5 -p 524309", "guard of 524288"),
+    ("residues -n 3 -p 1000003", "guard of 524288"),
+    # the DP's priced work
+    ("verify main -k 15", DP_GUARD),
+    ("residues -n 1000000000 -k 3", DP_GUARD),
+    ("residues -n 10000000 -k 1", DP_GUARD),
+    # a single row at k <= 2 is priced at least 4 * (n//2)^2: row 524289 is the last accepted
+    ("residues -n 1048576 -k 1", DP_GUARD),
+    ("residues -n 524290 -k 1", DP_GUARD),
+    ("residues -n 524290 -k 2", DP_GUARD),
+    # many cheap rows: refused for the rows read back, not for the last row's folds
+    ("verify main -k 1 --n-extra 1000000", DP_GUARD),
+    ("verify main -k 1 --n-extra 605394", DP_GUARD),
+    ("verify one-step -k 1 --max-n 1000000", DP_GUARD),
+    ("verify one-step -k 2 --max-n 700000", DP_GUARD),
+    ("verify one-step -k 14 --max-n 6688", DP_GUARD),
+    # one row past each multi-row edge the README states
+    ("verify main -k 1 --n-extra 101430", DP_GUARD),
+    ("verify one-step -k 4 --max-n 53196", DP_GUARD),
+    ("verify one-step -k 14 --max-n 253", DP_GUARD),
+    # arguments outside the domain
+    ("verify main -k 0", "must be at least 1"),
+    ("verify main -k 3 --n-extra -1", "n_extra must be nonnegative"),
+    ("verify one-step -k 3 --max-n -1", "n_max must be nonnegative"),
+    ("enumerate -n -2", "rank must be nonnegative"),
+    ("residues -n 5 -p 9", "9 is not prime"),
+    ("residues -n 5 -p 524289", "524289 is not prime"),
+    ("residues -n 3 -p 524289", "524289 is not prime"),
+]
+
+# A missing, clashing or stray option, under the usage line of the command or suite given it.
+USAGE = [
+    ("enumerate -n 3 -p 3", "--prime/-p"),
+    ("enumerate -n 3 --filter odd -p 3", "--prime/-p"),
+    ("enumerate -n 3 --filter coprime", "--filter coprime requires --prime/-p"),
+    ("tree --max-rank 3 --bogus", "unrecognized arguments: --bogus"),
+    ("verify main", "-k/--modulus-pow"),
+    ("verify main -k 3 -p 5", "unrecognized arguments: -p"),
+    ("verify main -k 3 --max-n 7", "unrecognized arguments: --max-n"),
+    ("verify one-step -k 3 --n-extra 1", "unrecognized arguments: --n-extra"),
+    ("verify pi-row -p 3", "unrecognized arguments: -p"),
+    ("verify coprime -k 3 -p 3", "unrecognized arguments: -k"),
+    ("verify oracle -p 3", "unrecognized arguments: -p"),
+    ("verify oracle -k 3", "unrecognized arguments: -k"),
+    ("verify oracle --n-extra 5 --max-n 3", "unrecognized arguments: --n-extra"),
+    ("residues -n 4", "-k/--modulus-pow -p/--prime"),
+    ("residues -n 4 -k 2 -p 3", "not allowed with argument -k/--modulus-pow"),
+    ("residues -n 4 -p 3 --method enum", "--method applies only to power-of-two moduli (-k)"),
 ]
 
 
 def _run(capsys, command):
     code = main(shlex.split(command))
-    return code, capsys.readouterr().out
+    return (code, *capsys.readouterr())
 
 
 def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize(("command", "code", "digest"), CASES, ids=[c[0] for c in CASES])
+def _ids(table):
+    return [row[0] for row in table]
+
+
+@pytest.mark.parametrize(("command", "code", "digest"), CASES, ids=_ids(CASES))
 def test_stdout_digest(capsys, command, code, digest):
-    got_code, out = _run(capsys, command)
+    got_code, out, _ = _run(capsys, command)
     assert (got_code, _digest(out)) == (code, digest)
 
 
-@pytest.mark.parametrize("command", REFUSED)
-def test_guard_refuses_without_output(capsys, command):
-    assert _run(capsys, command) == (1, "")
+def test_k14_threshold_row(capsys):
+    counts = []
+    for command, code, digest in THRESHOLD:
+        got_code, out, _ = _run(capsys, command)
+        assert (got_code, _digest(out)) == (code, digest), command
+        counts.append(json.loads(out)["counts"].values())
+    flat, before = counts
+    assert len(set(flat)) == 1 and len(set(before)) > 1
+    assert (sum(flat), sum(before)) == (1 << 4097, 1 << 4096)
+
+
+@pytest.mark.parametrize(("command", "limit"), REFUSED, ids=_ids(REFUSED))
+def test_guard_refuses_without_output(capsys, monkeypatch, command, limit):
+    def fold(*args):
+        raise AssertionError("folded before the guard")
+
+    monkeypatch.setattr(residues, "_fold", fold)
+    code, out, err = _run(capsys, command)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and limit in err, err
+
+
+@pytest.mark.parametrize(("command", "message"), USAGE, ids=_ids(USAGE))
+def test_usage_error_names_the_option(capsys, command, message):
+    argv = shlex.split(command)
+    leaf = " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
+    code, out, err = _run(capsys, command)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: yflattice {leaf} ") and message in err, err
 
 
 def print_cases():
     import contextlib
     import io
 
-    for command, _, _ in CASES:
+    for command, _, _ in CASES + THRESHOLD:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(shlex.split(command))

@@ -150,7 +150,7 @@ def test_dp_work_guard(monkeypatch):
     ):
         with pytest.raises(ValueError, match="guard of"):
             refused()
-    # the threshold row stays accepted up to k = 14 (test_k14_threshold_row runs it)
+    # the threshold row stays accepted up to k = 14 (test_cli_outputs.py's test_k14_threshold_row runs it)
     for k in range(1, 15):
         residues._check_dp_work((1 << (k - 1)) + 2, k, 1)
     # a single row at k <= 2 is priced at least 4 * half^2: row 524289 is the last accepted
@@ -180,10 +180,13 @@ def test_dp_work_guard_prices_every_row_read_back(monkeypatch):
             accepted()
         with pytest.raises(ValueError, match="guard of 274877906944"):
             refused()
-    # the CI reach run verify main -k 14 --n-extra 2 and the benchmark's verify runs
+    # the CASES row verify main -k 14 --n-extra 2 and the benchmark's verify runs
     residues._check_dp_work(8196, 14, 3)
     residues._check_dp_work(4110, 13, 13)
     residues._check_dp_work(205, 8, 206)
+    # the README's one-step edges, -k 4 up to --max-n 53195 and -k 14 up to --max-n 252
+    residues._check_dp_work(53196, 4, 53197)
+    residues._check_dp_work(253, 14, 254)
     # the MODULUS_MAX_POW comment's example, verify one-step -k 20 --max-n 2
     # (rows 0..3), is the last run accepted at k = 20
     residues._check_dp_work(3, 20, 4)
@@ -222,12 +225,6 @@ def test_dp_work_guard_refuses_what_the_read_back_price_refused(walk):
     if half * (half + rows - 1) << (k - 1) > residues.DP_MAX_WORK:
         assert refused(rows)
     assert refused(1) == (half * half << max(k - 1, 2) > residues.DP_MAX_WORK)
-
-
-def test_k14_threshold_row():
-    flat, before = residue_histogram_dp(8194, 14), residue_histogram_dp(8193, 14)
-    assert is_equidistributed(flat) and not is_equidistributed(before)
-    assert (sum(flat.counts.values()), sum(before.counts.values())) == (1 << 4097, 1 << 4096)
 
 
 def test_verify_one_step_scan():
