@@ -280,6 +280,13 @@ def test_verify_oracle_counts_each_word_once(capsys, monkeypatch):
     assert len(calls) <= 609  # the words of rows 0..12: F(15) - 1
 
 
+def test_whole_row_guards(capsys):
+    code, out, err = run(capsys, "enumerate", "-n", "25")
+    assert code == 1 and out == "" and "guard of 24" in err
+    code, out, err = run(capsys, "verify", "oracle", "--max-rank", "25")
+    assert code == 1 and out == "" and "guard of 24" in err
+
+
 def test_verify_coprime_guard_before_rows(capsys, monkeypatch):
     def refuse(n, *args, **kwargs):
         raise AssertionError(f"row {n} computed before the guard")

@@ -22,7 +22,6 @@ After an intended change of output, print the new digests with
 """
 
 import hashlib
-import json
 import shlex
 
 import pytest
@@ -100,16 +99,16 @@ CASES = [
     ("enumerate -n 24 --filter coprime -p 7 --format csv", 0, "6f2420930390944e4d14177520fcb02340ef4b2d130a4951155c14ca0433bbea"),
     ("verify main -k 14 --n-extra 2 --format json", 0, "853fd9c3e2c0a7b16342300c4680b491ece8813bbe421eae1c719a5e6065ed60"),
     ("residues -n 4098 -k 13 --assert --format json", 0, "e15d08363b790af6436d6ae0f449a00865f7281b6950efc5308e2bc5fe79f9d8"),
+    ("residues -n 8194 -k 14 --assert --format json", 0, "a3bb6a4813c02e2b9d0e2066b64af8c67c081a44d7ab88275bdf9808c2aafbbb"),
+    ("residues -n 8193 -k 14 --assert --format json", 1, "f17aabdf28b7657231feb5b9dae3ad2f814b7d8110ea237eae78ce3a3debc989"),
     ("verify pi-row --max-n 40 --format json", 0, "2a61e4ad33f2a88320f52b4ca1e8cddfd3f9e9f10447fc24b173613f4268856f"),
     ("residues -n 40 -k 12 --method enum --format json", 0, "398830139aae317e6ea1c5d9bf829b4f6753e1345fc723eab06ead0c370eb88d"),
 ]
 
-# The k = 14 threshold row and the row before it, which test_k14_threshold_row
-# walks once each: its code and digest as in CASES, then its JSON's counts.
-THRESHOLD = [
-    ("residues -n 8194 -k 14 --assert --format json", 0, "a3bb6a4813c02e2b9d0e2066b64af8c67c081a44d7ab88275bdf9808c2aafbbb"),
-    ("residues -n 8193 -k 14 --assert --format json", 1, "f17aabdf28b7657231feb5b9dae3ad2f814b7d8110ea237eae78ce3a3debc989"),
-]
+# The k = 14 threshold row and the row before it, the largest DP walks here:
+# conftest.py's k14_threshold walks each once per session, for these CASES rows
+# and for test_residues.py's test_k14_threshold_row.
+K14_ROWS = {f"residues -n {n} -k 14 --assert --format json": n for n in (8194, 8193)}
 
 DP_GUARD = "guard of 274877906944"  # residues.DP_MAX_WORK, 2^38
 
@@ -193,20 +192,13 @@ def _ids(table):
 
 
 @pytest.mark.parametrize(("command", "code", "digest"), CASES, ids=_ids(CASES))
-def test_stdout_digest(capsys, command, code, digest):
-    got_code, out, _ = _run(capsys, command)
-    assert (got_code, _digest(out)) == (code, digest)
-
-
-def test_k14_threshold_row(capsys):
-    counts = []
-    for command, code, digest in THRESHOLD:
+def test_stdout_digest(capsys, request, command, code, digest):
+    if command in K14_ROWS:
+        got_code, got_digest, _ = request.getfixturevalue("k14_threshold")(K14_ROWS[command])
+    else:
         got_code, out, _ = _run(capsys, command)
-        assert (got_code, _digest(out)) == (code, digest), command
-        counts.append(json.loads(out)["counts"].values())
-    flat, before = counts
-    assert len(set(flat)) == 1 and len(set(before)) > 1
-    assert (sum(flat), sum(before)) == (1 << 4097, 1 << 4096)
+        got_digest = _digest(out)
+    assert (got_code, got_digest) == (code, digest)
 
 
 @pytest.mark.parametrize(("command", "limit"), REFUSED, ids=_ids(REFUSED))
@@ -233,7 +225,7 @@ def print_cases():
     import contextlib
     import io
 
-    for command, _, _ in CASES + THRESHOLD:
+    for command, _, _ in CASES:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(shlex.split(command))

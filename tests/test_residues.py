@@ -150,7 +150,7 @@ def test_dp_work_guard(monkeypatch):
     ):
         with pytest.raises(ValueError, match="guard of"):
             refused()
-    # the threshold row stays accepted up to k = 14 (test_cli_outputs.py's test_k14_threshold_row runs it)
+    # the threshold row stays accepted up to k = 14 (test_k14_threshold_row runs it)
     for k in range(1, 15):
         residues._check_dp_work((1 << (k - 1)) + 2, k, 1)
     # a single row at k <= 2 is priced at least 4 * half^2: row 524289 is the last accepted
@@ -225,6 +225,12 @@ def test_dp_work_guard_refuses_what_the_read_back_price_refused(walk):
     if half * (half + rows - 1) << (k - 1) > residues.DP_MAX_WORK:
         assert refused(rows)
     assert refused(1) == (half * half << max(k - 1, 2) > residues.DP_MAX_WORK)
+
+
+def test_k14_threshold_row(k14_threshold):
+    (_, _, flat), (_, _, before) = k14_threshold(8194), k14_threshold(8193)
+    assert is_equidistributed(flat) and not is_equidistributed(before)
+    assert (sum(flat.counts.values()), sum(before.counts.values())) == (1 << 4097, 1 << 4096)
 
 
 def test_verify_one_step_scan():
