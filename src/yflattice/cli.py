@@ -120,9 +120,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         args.parser.error("--filter coprime requires --prime/-p")
     if args.filter != "coprime" and args.prime is not None:
         args.parser.error("--prime/-p applies only to --filter coprime")
-    tails, fs, blocks = f_blocks(args.rank)  # the rank guard runs here, before any output
     if args.filter == "coprime":
-        check_prime(args.prime)  # refused before any output, not at the first word
+        check_prime(args.prime)  # refused before the row is built, not at its first word
+    tails, fs, blocks = f_blocks(args.rank)  # the rank guard runs here, before any output
     modulus = {"odd": 2, "coprime": args.prime}.get(args.filter)
     n = str(args.rank)
     empty = "" if args.format in ("json", "jsonl") else EMPTY_TOKEN
@@ -244,6 +244,8 @@ def _suite_coprime(args: argparse.Namespace) -> list[dict[str, Any]]:
     primes = args.prime or [2, 3, 5, 7]
     if (words := len(primes) * (row_size(args.max_n + 2) - 1)) > COPRIME_MAX_WORDS:
         raise ValueError(f"{len(primes)} primes over rows 0..{args.max_n} walk {words} words, over the guard of {COPRIME_MAX_WORDS}")
+    for p in primes:
+        check_prime(p)  # every prime before the first row, not at its own first row
 
     def check(p: int, n: int) -> dict[str, Any]:
         count, predicates = 0, True

@@ -29,6 +29,11 @@ ROW_MAX_RANK = 24
 # The tree guard bounds output and time: about 3 * 2^(n//2) nodes, and rank 30
 # writes 70 MB of JSON in 0.25 s (43 MiB peak) or 12 MB of DOT in 0.2 s.
 TREE_MAX_RANK = 30
+# A histogram mod 2^k holds 2^(k-1) buckets: residues -n 10 -k 20 peaks at
+# 98-100 MiB as a table, CSV or JSON, and verify one-step -k 20 --max-n 2, the
+# last run the DP guard accepts at k = 20, at 178 MiB in 1.7-2.1 s (2-core
+# x86-64 VM); each further step of k doubles that.
+MODULUS_MAX_POW = 20
 
 
 def check_rank(n: int, limit: int | None = None) -> None:

@@ -23,13 +23,14 @@ def is_odd_word(w: Word) -> bool:
 
 
 def _branch(row: list[tuple[Word, int]], r: int) -> list[tuple[Word, int]]:
-    """Row r + 1 of the tree from row r: the branching rule, its one copy.
+    """Row r + 1 of the tree from row r, by the branching rule on (word, count) pairs.
 
     Even r: each w has the single child 1w with the same chain count.  Odd
     r: each w = 1v has the children 11v, keeping the count, and 2v, the
     count times r.  Children follow their parents' order, so node i of row
     r has its children at index i of row r + 1 (even r), or at 2i and
-    2i + 1 (odd r).
+    2i + 1 (odd r).  f_valued_rows folds the same rule on the counts alone,
+    as verify pi-row's second route.
     """
     if r % 2 == 0:
         return [((1,) + w, f) for w, f in row]

@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .core import Word, check_rank, rank, row_size
+from .core import MODULUS_MAX_POW, Word, check_rank, rank, row_size
 from .fstat import f_blocks, f_mod
-from .residues import MODULUS_MAX_POW
 
 # Miller-Rabin with these witnesses is deterministic below _WITNESS_BOUND =
 # 399165290221 * 798330580441, the smallest strong pseudoprime to all twelve

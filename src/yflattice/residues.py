@@ -30,19 +30,12 @@ from itertools import chain, filterfalse, pairwise, repeat, starmap
 from operator import add, lshift, mod, mul, rshift, sub
 from typing import Any, Iterator, NamedTuple
 
-from .core import SUBSET_MAX_RANK, check_rank
+from .core import MODULUS_MAX_POW, SUBSET_MAX_RANK, check_rank
 
 
 def _row_factors(n: int) -> range:
     """The odd factors available in row n: 1, 3, ..., 2*(n//2) - 1."""
     return range(1, 2 * (n // 2), 2)
-
-
-# A histogram mod 2^k holds 2^(k-1) buckets: residues -n 10 -k 20 peaks at
-# 98-100 MiB as a table, CSV or JSON, and verify one-step -k 20 --max-n 2, the
-# last run the DP guard accepts at k = 20, at 178 MiB in 1.7-2.1 s (2-core
-# x86-64 VM); each further step of k doubles that.
-MODULUS_MAX_POW = 20
 
 
 def _check_modulus_pow(k: int) -> None:

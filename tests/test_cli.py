@@ -1,21 +1,12 @@
-import contextlib
-import io
 import json
 
 from hypothesis import given, strategies as st
 
 from yflattice import build_tree, cli, enumerate_rank, fstat, residues, word_text
-from yflattice.cli import main
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def test_enumerate_table(capsys):
-    code, out, _ = run(capsys, "enumerate", "-n", "4")
+def test_enumerate_table(run):
+    code, out, _ = run("enumerate", "-n", "4")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].split() == ["word", "rank", "f", "odd"]
@@ -24,8 +15,8 @@ def test_enumerate_table(capsys):
     assert lines[3].split() == ["121", "4", "2", "false"]
 
 
-def test_enumerate_csv_odd_filter(capsys):
-    code, out, _ = run(capsys, "enumerate", "-n", "7", "--filter", "odd", "--format", "csv")
+def test_enumerate_csv_odd_filter(run):
+    code, out, _ = run("enumerate", "-n", "7", "--filter", "odd", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "word,rank,f,odd"
@@ -35,24 +26,24 @@ def test_enumerate_csv_odd_filter(capsys):
     assert all(line.endswith("true") for line in lines[1:])
 
 
-def test_enumerate_coprime_filter(capsys):
-    code, out, _ = run(capsys, "enumerate", "-n", "3", "--filter", "coprime", "-p", "3", "--format", "json")
+def test_enumerate_coprime_filter(run):
+    code, out, _ = run("enumerate", "-n", "3", "--filter", "coprime", "-p", "3", "--format", "json")
     assert code == 0
     records = json.loads(out)
     assert [r["word"] for r in records] == ["111", "12", "21"]
     assert all(isinstance(r["f"], str) for r in records)
 
 
-def test_enumerate_empty_word_tokens(capsys):
-    code, out, _ = run(capsys, "enumerate", "-n", "0")
+def test_enumerate_empty_word_tokens(run):
+    code, out, _ = run("enumerate", "-n", "0")
     assert code == 0
     assert out.splitlines()[1].split()[0] == "e"
-    code, out, _ = run(capsys, "enumerate", "-n", "0", "--format", "json")
+    code, out, _ = run("enumerate", "-n", "0", "--format", "json")
     assert json.loads(out)[0]["word"] == ""
 
 
-def test_tree_dot(capsys):
-    code, out, _ = run(capsys, "tree", "--max-rank", "2")
+def test_tree_dot(run):
+    code, out, _ = run("tree", "--max-rank", "2")
     assert code == 0
     assert out.startswith("graph macdonald_tree {")
     assert out.count("label=") == 4
@@ -60,15 +51,15 @@ def test_tree_dot(capsys):
     assert '"e" -- "1";' in out
 
 
-def test_tree_dot_f_valued(capsys):
-    code, out, _ = run(capsys, "tree", "--max-rank", "4", "--f-valued")
+def test_tree_dot_f_valued(run):
+    code, out, _ = run("tree", "--max-rank", "4", "--f-valued")
     assert code == 0
     assert '"22" [label="22 : 3"];' in out
     assert '"e" [label="e : 1"];' in out
 
 
-def test_tree_json(capsys):
-    code, out, _ = run(capsys, "tree", "--max-rank", "3", "--format", "json")
+def test_tree_json(run):
+    code, out, _ = run("tree", "--max-rank", "3", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["max_rank"] == 3
@@ -77,13 +68,6 @@ def test_tree_json(capsys):
     assert [c["word"] for c in root["children"]] == ["1"]
     grandchildren = root["children"][0]["children"]
     assert [c["word"] for c in grandchildren] == ["11", "2"]
-
-
-def _stdout(*argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(list(argv)) == 0
-    return out.getvalue()
 
 
 def _nested(node):
@@ -95,15 +79,17 @@ def _nested(node):
 
 
 @given(st.integers(min_value=0, max_value=16))
-def test_tree_json_is_the_materialized_tree(max_rank):
-    doc = json.loads(_stdout("tree", "--max-rank", str(max_rank), "--format", "json"))
-    assert doc == {"max_rank": max_rank, "root": _nested(build_tree(max_rank).root)}
+def test_tree_json_is_the_materialized_tree(run, max_rank):
+    code, out, _ = run("tree", "--max-rank", str(max_rank), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"max_rank": max_rank, "root": _nested(build_tree(max_rank).root)}
 
 
 @given(st.integers(min_value=0, max_value=16), st.booleans())
-def test_tree_dot_lines_are_the_materialized_rows(max_rank, f_valued):
+def test_tree_dot_lines_are_the_materialized_rows(run, max_rank, f_valued):
     flags = ["--f-valued"] if f_valued else []
-    out = _stdout("tree", "--max-rank", str(max_rank), "--format", "dot", *flags)
+    code, out, _ = run("tree", "--max-rank", str(max_rank), "--format", "dot", *flags)
+    assert code == 0
     nodes = [node for row in build_tree(max_rank).rows() for node in row]
     names = [word_text(node.word) for node in nodes]
     labels = [f"{name} : {node.f}" if f_valued else name for name, node in zip(names, nodes)]
@@ -116,63 +102,44 @@ def test_tree_dot_lines_are_the_materialized_rows(max_rank, f_valued):
     ]
 
 
-def test_tree_out_writes_the_stdout_bytes(tmp_path):
+def test_tree_out_writes_the_stdout_bytes(run, tmp_path):
     for fmt in ("dot", "json"):
         argv = ["tree", "--max-rank", "9", "--f-valued", "--format", fmt]
         target = tmp_path / f"tree.{fmt}"
-        assert _stdout(*argv, "--out", str(target)) == ""
-        assert target.read_bytes() == _stdout(*argv).encode()
+        assert run(*argv, "--out", str(target)) == (0, "", "")
+        code, out, _ = run(*argv)
+        assert code == 0 and target.read_bytes() == out.encode()
 
 
-def test_tree_guard_runs_before_out_is_opened(tmp_path, capsys):
-    for fmt in ("dot", "json"):
-        target = tmp_path / f"tree.{fmt}"
-        code, out, err = run(capsys, "tree", "--max-rank", "31", "--format", fmt, "--out", str(target))
-        assert code == 1 and out == "" and "guard of 30" in err
-        assert not target.exists()
-
-
-def test_enumerate_guard_runs_before_out_is_opened(tmp_path, capsys):
-    for argv, reason in (
-        (("-n", "25"), "guard of 24"),
-        (("-n", "5", "--filter", "coprime", "-p", "4"), "4 is not prime"),
-    ):
-        for fmt in ("table", "csv", "json", "jsonl"):
-            target = tmp_path / f"row.{fmt}"
-            code, out, err = run(capsys, "enumerate", *argv, "--format", fmt, "--out", str(target))
-            assert code == 1 and out == "" and reason in err
-            assert not target.exists()
-
-
-def test_enumerate_out_writes_the_stdout_bytes(tmp_path, capsys):
+def test_enumerate_out_writes_the_stdout_bytes(tmp_path, run):
     for fmt in ("table", "csv", "json", "jsonl"):
         argv = ("enumerate", "-n", "9", "--filter", "coprime", "-p", "3", "--format", fmt)
-        code, out, _ = run(capsys, *argv)
+        code, out, _ = run(*argv)
         assert code == 0
         target = tmp_path / f"row.{fmt}"
-        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert run(*argv, "--out", str(target)) == (0, "", "")
         assert target.read_text() == out
 
 
-def test_enumerate_json_is_the_dumped_records(capsys):
+def test_enumerate_json_is_the_dumped_records(run):
     for n in (0, 1, 7, 12):
-        code, out, _ = run(capsys, "enumerate", "-n", str(n), "--format", "json")
+        code, out, _ = run("enumerate", "-n", str(n), "--format", "json")
         assert code == 0
         records = json.loads(out)
         assert [r["word"] for r in records] == [word_text(w, empty="") for w in enumerate_rank(n)]
         assert out == json.dumps(records, indent=2) + "\n"
-        code, out, _ = run(capsys, "enumerate", "-n", str(n), "--format", "jsonl")
+        code, out, _ = run("enumerate", "-n", str(n), "--format", "jsonl")
         assert out == "".join(json.dumps(r) + "\n" for r in records)
 
 
-def test_verify_main_suite(capsys):
-    code, out, _ = run(capsys, "verify", "main", "-k", "3")
+def test_verify_main_suite(run):
+    code, out, _ = run("verify", "main", "-k", "3")
     assert code == 0
     assert "3/3 checks passed" in out
 
 
-def test_verify_one_step_jsonl(capsys):
-    code, out, _ = run(capsys, "verify", "one-step", "-k", "2", "--max-n", "6", "--format", "jsonl")
+def test_verify_one_step_jsonl(run):
+    code, out, _ = run("verify", "one-step", "-k", "2", "--max-n", "6", "--format", "jsonl")
     assert code == 0
     records = [json.loads(line) for line in out.strip().splitlines()]
     assert len(records) == 7
@@ -180,36 +147,36 @@ def test_verify_one_step_jsonl(capsys):
     assert all(r["step_identity"] for r in records)
 
 
-def test_verify_records_are_the_library_records(capsys):
+def test_verify_records_are_the_library_records(run):
     for argv, records in (
         (["main", "-k", "3", "--n-extra", "2"], residues.verify_main_theorem(3, 2)),
         (["one-step", "-k", "3", "--max-n", "12"], residues.verify_one_step(3, 12)),
     ):
-        code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        code, out, _ = run("verify", *argv, "--format", "json")
         assert code == 0
         assert json.loads(out)["records"] == records
 
 
-def test_verify_pi_row(capsys, monkeypatch):
-    code, _, _ = run(capsys, "verify", "pi-row", "--max-n", "10")
+def test_verify_pi_row(run, monkeypatch):
+    code, _, _ = run("verify", "pi-row", "--max-n", "10")
     assert code == 0
     # mutation: every odd integer up to n as the factor set breaks odd rows
     monkeypatch.setattr(residues, "_row_factors", lambda n: range(1, n + 1, 2))
-    code, out, err = run(capsys, "verify", "pi-row", "--max-n", "8", "--format", "json")
+    code, out, err = run("verify", "pi-row", "--max-n", "8", "--format", "json")
     assert code == 1
     assert "FAIL: suite pi-row" in err
     assert [r["n"] for r in json.loads(out)["records"] if not r["ok"]] == [1, 3, 5, 7]
     # mutation: the right number of factors, shifted by one, fails on the values alone
     monkeypatch.setattr(residues, "_row_factors", lambda n: range(3, 2 * (n // 2) + 2, 2))
-    code, out, err = run(capsys, "verify", "pi-row", "--max-n", "6", "--format", "json")
+    code, out, err = run("verify", "pi-row", "--max-n", "6", "--format", "json")
     records = json.loads(out)["records"]
     assert code == 1 and "FAIL: suite pi-row" in err
     assert all(r["cardinality"] == 1 << (r["n"] // 2) for r in records)
     assert [r["n"] for r in records if not r["ok"]] == [2, 3, 4, 5, 6]
 
 
-def test_verify_coprime_json(capsys):
-    code, out, _ = run(capsys, "verify", "coprime", "--max-n", "6", "-p", "3", "--format", "json")
+def test_verify_coprime_json(run):
+    code, out, _ = run("verify", "coprime", "--max-n", "6", "-p", "3", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True
@@ -217,15 +184,15 @@ def test_verify_coprime_json(capsys):
     assert all(r["count"] == r["closed_form_count"] and r["agree"] for r in doc["records"])
 
 
-def test_verify_coprime_csv_columns(capsys):
-    code, out, _ = run(capsys, "verify", "coprime", "--max-n", "4", "-p", "3", "--format", "csv")
+def test_verify_coprime_csv_columns(run):
+    code, out, _ = run("verify", "coprime", "--max-n", "4", "-p", "3", "--format", "csv")
     assert code == 0
     header = out.strip().splitlines()[0].split(",")
     for column in ("n", "count", "closed_form_count", "agree"):
         assert column in header
 
 
-def test_verify_coprime_walks_each_row_once(capsys, monkeypatch):
+def test_verify_coprime_walks_each_row_once(run, monkeypatch):
     calls = {"structural": 0, "rows": []}
     structural, enumerate_rank = cli.is_coprime_structural, fstat.enumerate_rank
 
@@ -239,19 +206,19 @@ def test_verify_coprime_walks_each_row_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "is_coprime_structural", counted_structural)
     monkeypatch.setattr(fstat, "enumerate_rank", counted_rows)  # the block walk's row source
-    code, _, _ = run(capsys, "verify", "coprime", "-p", "3", "--max-n", "10")
+    code, _, _ = run("verify", "coprime", "-p", "3", "--max-n", "10")
     assert code == 0
     assert calls["structural"] == 232  # the words of rows 0..10: F(13) - 1
     assert calls["rows"] == list(range(11))
 
 
-def test_row_suites_report_a_disagreeing_route(capsys, monkeypatch):
+def test_row_suites_report_a_disagreeing_route(run, monkeypatch):
     structural, f_recursive = cli.is_coprime_structural, cli.f_recursive
     wrong = (1, 2, 1, 2)  # one word of rank 6, deep inside the row
     monkeypatch.setattr(cli, "is_coprime_structural", lambda w, p: structural(w, p) ^ (w == wrong))
     monkeypatch.setattr(cli, "f_recursive", lambda w: f_recursive(w) + (w == wrong))
     for suite, column, primes in (("coprime", "predicates_agree", ["-p", "3"]), ("oracle", "ok", [])):
-        code, out, err = run(capsys, "verify", suite, *primes, "--max-n", "7", "--format", "json")
+        code, out, err = run("verify", suite, *primes, "--max-n", "7", "--format", "json")
         assert code == 1 and err == f"FAIL: suite {suite}\n"
         records = json.loads(out)["records"]
         assert [r["n"] for r in records if not r[column]] == [6]
@@ -259,13 +226,13 @@ def test_row_suites_report_a_disagreeing_route(capsys, monkeypatch):
             assert [r["words"] for r in records] == [1, 1, 2, 3, 5, 8, 13, 21]
 
 
-def test_verify_oracle(capsys):
-    code, out, _ = run(capsys, "verify", "oracle", "--max-rank", "9")
+def test_verify_oracle(run):
+    code, out, _ = run("verify", "oracle", "--max-rank", "9")
     assert code == 0
     assert "10/10 checks passed" in out
 
 
-def test_verify_oracle_counts_each_word_once(capsys, monkeypatch):
+def test_verify_oracle_counts_each_word_once(run, monkeypatch):
     calls = []
     covers_down = fstat.covers_down
 
@@ -275,38 +242,19 @@ def test_verify_oracle_counts_each_word_once(capsys, monkeypatch):
 
     fstat._chains.cache_clear()
     monkeypatch.setattr(fstat, "covers_down", counted)
-    code, _, _ = run(capsys, "verify", "oracle", "--max-rank", "12")
+    code, _, _ = run("verify", "oracle", "--max-rank", "12")
     assert code == 0
     assert len(calls) <= 609  # the words of rows 0..12: F(15) - 1
 
 
-def test_whole_row_guards(capsys):
-    code, out, err = run(capsys, "enumerate", "-n", "25")
+def test_whole_row_guards(run):
+    code, out, err = run("enumerate", "-n", "25")
     assert code == 1 and out == "" and "guard of 24" in err
-    code, out, err = run(capsys, "verify", "oracle", "--max-rank", "25")
+    code, out, err = run("verify", "oracle", "--max-rank", "25")
     assert code == 1 and out == "" and "guard of 24" in err
 
 
-def test_verify_coprime_guard_before_rows(capsys, monkeypatch):
-    def refuse(n, *args, **kwargs):
-        raise AssertionError(f"row {n} computed before the guard")
-
-    monkeypatch.setattr(fstat, "enumerate_rank", refuse)
-    monkeypatch.setattr(cli, "f_row", refuse)
-    monkeypatch.setattr(cli, "f_blocks", refuse)
-    monkeypatch.setattr(cli, "pi_rows", refuse)
-    monkeypatch.setattr(cli, "f_valued_rows", refuse)
-    eight = [arg for p in (2, 3, 5, 7, 11, 13, 17, 19) for arg in ("-p", str(p))]
-    for argv, guard in (
-        (("coprime", "-p", "3", "--max-n", "25"), "guard of 24"),
-        (("coprime", *eight, "--max-n", "24"), "guard of 1048576"),
-        (("pi-row", "--max-n", "41"), "guard of 40"),
-    ):
-        code, out, err = run(capsys, "verify", *argv)
-        assert code == 1 and out == "" and guard in err
-
-
-def test_verify_coprime_word_guard_boundary(capsys, monkeypatch):
+def test_verify_coprime_word_guard_boundary(run, monkeypatch):
     # 5 primes over rows 0..24 walk 5 * 196417 = 982085 <= 2^20 words, 6 walk 1178502
     def reached(n):
         raise ValueError(f"reached row {n}")
@@ -314,37 +262,37 @@ def test_verify_coprime_word_guard_boundary(capsys, monkeypatch):
     monkeypatch.setattr(cli, "f_row", reached)
     for count, verdict in ((5, "reached row 0"), (6, "6 primes over rows 0..24 walk 1178502 words, over the guard of 1048576")):
         primes_argv = [arg for p in (2, 3, 5, 7, 11, 13)[:count] for arg in ("-p", str(p))]
-        code, out, err = run(capsys, "verify", "coprime", *primes_argv, "--max-n", "24")
+        code, out, err = run("verify", "coprime", *primes_argv, "--max-n", "24")
         assert code == 1 and out == "" and err == f"error: {verdict}\n"
     assert cli.COPRIME_MAX_WORDS == 1 << 20
 
 
-def test_verify_max_rank_is_max_n(capsys):
+def test_verify_max_rank_is_max_n(run):
     outputs = []
     for flag in ("--max-n", "--max-rank"):
-        code, out, _ = run(capsys, "verify", "oracle", flag, "3", "--format", "json")
+        code, out, _ = run("verify", "oracle", flag, "3", "--format", "json")
         assert code == 0
         outputs.append(json.loads(out)["records"])
     assert outputs[0] == outputs[1]
     assert [r["n"] for r in outputs[0]] == [0, 1, 2, 3]
 
 
-def test_residues_table_and_assert(capsys):
-    code, out, _ = run(capsys, "residues", "-n", "6", "-k", "3")
+def test_residues_table_and_assert(run):
+    code, out, _ = run("residues", "-n", "6", "-k", "3")
     assert code == 0
     assert "verdict: flat" in out
-    code, out, _ = run(capsys, "residues", "-n", "5", "-k", "3")
+    code, out, _ = run("residues", "-n", "5", "-k", "3")
     assert code == 0
     assert "verdict: not-flat" in out
-    code, _, _ = run(capsys, "residues", "-n", "5", "-k", "3", "--assert")
+    code, _, _ = run("residues", "-n", "5", "-k", "3", "--assert")
     assert code == 1
-    code, _, _ = run(capsys, "residues", "-n", "6", "-k", "3", "--assert")
+    code, _, _ = run("residues", "-n", "6", "-k", "3", "--assert")
     assert code == 0
 
 
-def test_residues_counts_past_the_int_digit_limit(capsys):
+def test_residues_counts_past_the_int_digit_limit(run):
     # row 28580 mod 2 is one count, 2^14290, of 4302 digits: past CPython's default limit of 4300
-    outputs = {fmt: run(capsys, "residues", "-n", "28580", "-k", "1", "--format", fmt) for fmt in ("table", "csv", "json")}
+    outputs = {fmt: run("residues", "-n", "28580", "-k", "1", "--format", fmt) for fmt in ("table", "csv", "json")}
     count = str(1 << 14290)  # the run above lifted the limit in this process
     assert outputs["table"] == (0, f"residue  count\n1        {count}\nverdict: flat\n", "")
     assert outputs["csv"] == (0, f"residue,count\n1,{count}\n", "verdict: flat\n")
@@ -352,51 +300,51 @@ def test_residues_counts_past_the_int_digit_limit(capsys):
     assert code == 0 and json.loads(out)["counts"] == {"1": 1 << 14290}
 
 
-def test_residues_csv(capsys):
-    code, out, err = run(capsys, "residues", "-n", "6", "-k", "3", "--format", "csv")
+def test_residues_csv(run):
+    code, out, err = run("residues", "-n", "6", "-k", "3", "--format", "csv")
     assert code == 0
     assert out.strip().splitlines() == ["residue,count", "1,2", "3,2", "5,2", "7,2"]
     assert "verdict: flat" in err
 
 
-def test_residues_json_methods_agree(capsys):
-    code, dp_out, _ = run(capsys, "residues", "-n", "12", "-k", "4", "--format", "json")
+def test_residues_json_methods_agree(run):
+    code, dp_out, _ = run("residues", "-n", "12", "-k", "4", "--format", "json")
     assert code == 0
-    code, enum_out, _ = run(capsys, "residues", "-n", "12", "-k", "4", "--method", "enum", "--format", "json")
+    code, enum_out, _ = run("residues", "-n", "12", "-k", "4", "--method", "enum", "--format", "json")
     assert code == 0
     dp_doc, enum_doc = json.loads(dp_out), json.loads(enum_out)
     assert dp_doc["counts"] == enum_doc["counts"]
     assert dp_doc["method"] == "dp" and enum_doc["method"] == "enum"
 
 
-def test_residues_prime_modulus(capsys):
-    code, out, _ = run(capsys, "residues", "-n", "3", "-p", "3", "--format", "csv")
+def test_residues_prime_modulus(run):
+    code, out, _ = run("residues", "-n", "3", "-p", "3", "--format", "csv")
     assert code == 0
     assert out.strip().splitlines() == ["residue,count", "1,2", "2,1"]
 
 
-def test_deterministic_output(capsys):
-    _, first, _ = run(capsys, "tree", "--max-rank", "6", "--f-valued")
-    _, second, _ = run(capsys, "tree", "--max-rank", "6", "--f-valued")
+def test_deterministic_output(run):
+    _, first, _ = run("tree", "--max-rank", "6", "--f-valued")
+    _, second, _ = run("tree", "--max-rank", "6", "--f-valued")
     assert first == second
 
 
-def test_out_writes_file(tmp_path, capsys):
+def test_out_writes_file(tmp_path, run):
     target = tmp_path / "row.csv"
-    code, out, _ = run(capsys, "enumerate", "-n", "3", "--format", "csv", "--out", str(target))
+    code, out, _ = run("enumerate", "-n", "3", "--format", "csv", "--out", str(target))
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "word,rank,f,odd"
 
 
-def test_out_unwritable_path_is_an_error(tmp_path, capsys):
+def test_out_unwritable_path_is_an_error(tmp_path, run):
     target = tmp_path / "missing" / "x.csv"
-    code, out, err = run(capsys, "enumerate", "-n", "3", "--format", "csv", "--out", str(target))
+    code, out, err = run("enumerate", "-n", "3", "--format", "csv", "--out", str(target))
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert not target.exists()
 
 
-def test_help_exits_zero(capsys):
-    assert run(capsys, "--help")[0] == 0
+def test_help_exits_zero(run):
+    assert run("--help")[0] == 0

@@ -5,8 +5,10 @@
   -k`/`-p` and the five `verify` suites, each suite's defaults, and the
   largest runs the guards accept, so a change of one byte of output fails.
 - REFUSED: argv and the limit it breaks.  Exit 1, empty stdout, and stderr
-  `error: ...` naming the limit, with the DP's fold made to raise, so each
-  refusal comes before any fold.
+  `error: ...` naming the limit, under conftest.py's no_work, which makes
+  the first piece of work under every guard raise: each refusal comes before
+  any row, count, fold or tree is made.  Each row runs again with `--out`,
+  and the file is never created.
 - USAGE: argv and the option or message at fault.  Exit 2, empty stdout,
   and stderr that starts `usage: yflattice <leaf> ` and names it.
 
@@ -18,16 +20,13 @@ across versions, so neither is pinned.
 
 After an intended change of output, print the new digests with
 
-    PYTHONPATH=src python -c "import tests.test_cli_outputs as t; t.print_cases()"
+    PYTHONPATH=src:tests python -c "import test_cli_outputs as t; t.print_cases()"
 """
 
 import hashlib
 import shlex
 
 import pytest
-
-from yflattice import residues
-from yflattice.cli import main
 
 CASES = [
     ("enumerate -n 4", 0, "17e65b456b9d8fd1607ee7a4c17cc9feae9cde24a858235a583388a6e9187c05"),
@@ -115,13 +114,19 @@ DP_GUARD = "guard of 274877906944"  # residues.DP_MAX_WORK, 2^38
 REFUSED = [
     # whole rows stop at rank 24, subset products at 40, the tree at 30
     ("enumerate -n 25", "guard of 24"),
+    ("enumerate -n 25 --format csv", "guard of 24"),
+    ("enumerate -n 25 --format json", "guard of 24"),
+    ("enumerate -n 25 --format jsonl", "guard of 24"),
     ("verify coprime --max-n 25", "guard of 24"),
+    ("verify coprime -p 3 --max-n 25", "guard of 24"),
+    ("verify coprime -p 4 --max-n 25", "guard of 24"),  # the rank before the primes
     ("verify oracle --max-rank 25", "guard of 24"),
     ("residues -n 25 -p 7", "guard of 24"),
     ("verify pi-row --max-n 41", "guard of 40"),
     ("residues -n 41 -k 3 --method enum", "guard of 40"),
     ("residues -n 50 -k 3 --method enum", "guard of 40"),
     ("tree --max-rank 31", "guard of 30"),
+    ("tree --max-rank 31 --format json", "guard of 30"),
     ("tree --max-rank 99", "guard of 30"),
     # modulus exponent 20, and 2^19 buckets for -p
     ("verify main -k 21", "guard of 20"),
@@ -129,6 +134,8 @@ REFUSED = [
     ("residues -n 4 -k 30", "guard of 20"),
     ("residues -n 5 -p 524309", "guard of 524288"),
     ("residues -n 3 -p 1000003", "guard of 524288"),
+    # verify coprime's words, F(max_n + 3) - 1 per prime: 2^20 at most
+    ("verify coprime -p 2 -p 3 -p 5 -p 7 -p 11 -p 13 -p 17 -p 19 --max-n 24", "guard of 1048576"),
     # the DP's priced work
     ("verify main -k 15", DP_GUARD),
     ("residues -n 1000000000 -k 3", DP_GUARD),
@@ -155,6 +162,13 @@ REFUSED = [
     ("residues -n 5 -p 9", "9 is not prime"),
     ("residues -n 5 -p 524289", "524289 is not prime"),
     ("residues -n 3 -p 524289", "524289 is not prime"),
+    ("enumerate -n 5 --filter coprime -p 4", "4 is not prime"),
+    ("enumerate -n 5 --filter coprime -p 4 --format csv", "4 is not prime"),
+    ("enumerate -n 5 --filter coprime -p 4 --format json", "4 is not prime"),
+    ("enumerate -n 5 --filter coprime -p 4 --format jsonl", "4 is not prime"),
+    ("residues -n 25 -p 4", "4 is not prime"),
+    ("enumerate -n 25 --filter coprime -p 4", "4 is not prime"),  # the prime before the row, as residues
+    ("verify coprime -p 2 -p 4 --max-n 3", "4 is not prime"),  # every prime before the rows of the first
 ]
 
 # A missing, clashing or stray option, under the usage line of the command or suite given it.
@@ -178,11 +192,6 @@ USAGE = [
 ]
 
 
-def _run(capsys, command):
-    code = main(shlex.split(command))
-    return (code, *capsys.readouterr())
-
-
 def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -192,41 +201,37 @@ def _ids(table):
 
 
 @pytest.mark.parametrize(("command", "code", "digest"), CASES, ids=_ids(CASES))
-def test_stdout_digest(capsys, request, command, code, digest):
+def test_stdout_digest(run, request, command, code, digest):
     if command in K14_ROWS:
         got_code, got_digest, _ = request.getfixturevalue("k14_threshold")(K14_ROWS[command])
     else:
-        got_code, out, _ = _run(capsys, command)
+        got_code, out, _ = run(*shlex.split(command))
         got_digest = _digest(out)
     assert (got_code, got_digest) == (code, digest)
 
 
 @pytest.mark.parametrize(("command", "limit"), REFUSED, ids=_ids(REFUSED))
-def test_guard_refuses_without_output(capsys, monkeypatch, command, limit):
-    def fold(*args):
-        raise AssertionError("folded before the guard")
-
-    monkeypatch.setattr(residues, "_fold", fold)
-    code, out, err = _run(capsys, command)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and limit in err, err
+def test_guard_refuses_without_output(run, no_work, tmp_path, command, limit):
+    target = tmp_path / "out"
+    for argv in (shlex.split(command), [*shlex.split(command), "--out", str(target)]):
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and limit in err, err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize(("command", "message"), USAGE, ids=_ids(USAGE))
-def test_usage_error_names_the_option(capsys, command, message):
+def test_usage_error_names_the_option(run, command, message):
     argv = shlex.split(command)
     leaf = " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
-    code, out, err = _run(capsys, command)
+    code, out, err = run(*argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"usage: yflattice {leaf} ") and message in err, err
 
 
 def print_cases():
-    import contextlib
-    import io
+    from conftest import run_cli
 
     for command, _, _ in CASES:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(shlex.split(command))
-        print(f'    ("{command}", {code}, "{_digest(out.getvalue())}"),')
+        code, out, _ = run_cli(*shlex.split(command))
+        print(f'    ("{command}", {code}, "{_digest(out)}"),')

@@ -142,12 +142,12 @@ def test_enumerate_rank_closed_under_covers():
             assert covers_down(w) <= rows[n - 1]
 
 
-def test_enumerate_rank_rejects_negative():
-    with pytest.raises(ValueError):
+def test_enumerate_rank_rejects_negative(no_work):
+    with pytest.raises(ValueError, match="^rank must be nonnegative$"):
         enumerate_rank(-1)
 
 
-def test_enumerate_rank_refuses_past_row_guard():
+def test_enumerate_rank_refuses_past_row_guard(no_work):
     # rank 25 would hold 121393 words; rank 40 would hold 165580141
     with pytest.raises(ValueError, match="^rank 25 exceeds the guard of 24$"):
         enumerate_rank(25)  # at the call, not at the first word read

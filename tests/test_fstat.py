@@ -83,10 +83,10 @@ def test_f_recursive_refuses_ranks_past_the_row_guard():
     assert f_recursive((2,) * 12) == 316234143225  # 23!!, one factor per 2
 
 
-def test_f_mod_rejects_small_modulus():
-    with pytest.raises(ValueError):
+def test_f_mod_rejects_small_modulus(no_work):
+    with pytest.raises(ValueError, match="^modulus must be at least 2, got 1$"):
         f_mod((2, 1), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^modulus must be at least 2, got 0$"):
         f_mod((2, 1), 0)
 
 
@@ -114,7 +114,7 @@ def test_block_texts_are_the_word_texts():
         assert texts == [word_text(w, "") for w in enumerate_rank(n)]
 
 
-def test_block_walk_guard_runs_at_the_call():
+def test_block_walk_guard_runs_at_the_call(no_work):
     for walk in (f_row, f_blocks):
-        with pytest.raises(ValueError, match="rank 25 exceeds the guard of 24"):
+        with pytest.raises(ValueError, match="^rank 25 exceeds the guard of 24$"):
             walk(25)  # at the call, before any block or word is read

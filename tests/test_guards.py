@@ -1,0 +1,61 @@
+"""The library's refusals: each call, its exact message, and no work before it.
+
+GUARDED rows are (function, args, message), and each call must raise
+ValueError with exactly that message under conftest.py's no_work.  A call
+that returns an iterator is read once, since a generator's guard runs at its
+first item.  Each module's own refusal-only tests check the rest the same way.
+"""
+
+from collections.abc import Iterator
+
+import pytest
+
+from yflattice import ResidueHistogram, fstat, macdonald, primes, residues
+
+NEGATIVE = "rank must be nonnegative"
+K0 = "modulus exponent must be at least 1, got 0"
+DP = "exceeds the guard of 274877906944"  # residues.DP_MAX_WORK, 2^38
+
+GUARDED = [
+    (fstat.f_recursive, ((2,) * 13,), "rank 26 exceeds the guard of 24"),
+    (macdonald.build_tree, (31,), "rank 31 exceeds the guard of 30"),
+    (macdonald.build_tree, (-1,), NEGATIVE),
+    (macdonald.macdonald_children, ((2, 1),), "21 is not an odd word"),
+    (macdonald.f_valued_rows, (41,), "rank 41 exceeds the guard of 40"),
+    # histograms mod 2^k: the modulus exponent first, then the rank and the DP's work
+    (residues.residue_histogram_enum, (41, 3), "rank 41 exceeds the guard of 40"),
+    (residues.residue_histogram_enum, (41, 0), K0),
+    (residues.residue_histogram_enum, (4, 0), K0),
+    (residues.residue_histogram_enum, (4, 21), "modulus exponent 21 exceeds the guard of 20"),
+    (residues.residue_histogram_dp, (4, 0), K0),
+    (residues.residue_histogram_dp, (4, 21), "modulus exponent 21 exceeds the guard of 20"),
+    (residues.residue_histogram_dp, (-1, 3), NEGATIVE),
+    (residues.residue_histogram_dp, (10**9, 3), f"DP work {10**18} for rows 1000000000..1000000000 mod 2^3 {DP}"),
+    (residues.verify_main_theorem, (15, 0), f"DP work 1099780079616 for rows 16386..16386 mod 2^15 {DP}"),
+    (residues.verify_one_step, (21, 2), "modulus exponent 21 exceeds the guard of 20"),
+    (residues.verify_one_step, (3, -1), "n_max must be nonnegative"),
+    (residues.verify_one_step, (1, 1 << 21), f"DP work 25563657011200 for rows 0..2097153 mod 2^1 {DP}"),
+    (residues.multiplicative_shift, (ResidueHistogram(4, {1: 1, 3: 0}), 2), "shift factor must be odd, got 2"),
+    (residues.pi_rows, (41,), "rank 41 exceeds the guard of 40"),
+    # primes, and the counts over them
+    (primes.is_coprime_direct, ((2, 1), 4), "4 is not prime"),
+    (primes.is_coprime_structural, ((2, 1), 4), "4 is not prime"),
+    (primes.coprime_count, (4, 3), "4 is not prime"),
+    (primes.coprime_count, (3, -1), NEGATIVE),
+    (primes.coprime_count, (3, (1 << 18) + 1), "rank 262145 exceeds the guard of 262144"),
+    (primes.residue_distribution_mod_p, (3, 6), "6 is not prime"),
+    (primes.residue_distribution_mod_p, (3, 2), "p must be an odd prime; modulus 2 is covered by the power-of-two histograms"),
+    (primes.residue_distribution_mod_p, (3, 1000003), "modulus 1000003 needs 1000002 buckets, over the guard of 524288"),
+    (primes.residue_distribution_mod_p, (25, 3), "rank 25 exceeds the guard of 24"),
+]
+
+
+@pytest.mark.parametrize(
+    ("function", "args", "message"), GUARDED, ids=[f"{f.__name__}({', '.join(map(repr, args))})" for f, args, _ in GUARDED]
+)
+def test_refused_before_any_work(no_work, function, args, message):
+    with pytest.raises(ValueError) as refusal:
+        result = function(*args)
+        if isinstance(result, Iterator):
+            next(result)
+    assert str(refusal.value) == message

@@ -5,8 +5,6 @@ import re
 import shlex
 from pathlib import Path
 
-from yflattice.cli import main
-
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 
@@ -14,7 +12,7 @@ def _blocks(lang):
     return re.findall(rf"^```{lang}\n(.*?)^```", README, flags=re.MULTILINE | re.DOTALL)
 
 
-def test_readme_examples_run(capsys):
+def test_readme_examples_run(run):
     commands = [
         shlex.split(line, comments=True)[1:]
         for block in _blocks("sh")
@@ -23,8 +21,7 @@ def test_readme_examples_run(capsys):
     ]
     assert len(commands) >= 13
     for argv in commands:
-        assert main(argv) == 0, argv
-        capsys.readouterr()
+        assert run(*argv)[0] == 0, argv
 
     (source,) = _blocks("python")
     test = doctest.DocTestParser().get_doctest(source, {}, "README", "README.md", 0)

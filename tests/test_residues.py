@@ -22,7 +22,6 @@ from yflattice import (
     verify_main_theorem,
     verify_one_step,
 )
-from yflattice.cli import main
 
 
 def test_enum_known_histograms():
@@ -35,21 +34,6 @@ def test_dp_known_histograms():
     assert residue_histogram_dp(6, 3).counts == {1: 2, 3: 2, 5: 2, 7: 2}
     assert residue_histogram_dp(4, 2).counts == {1: 2, 3: 2}
     assert residue_histogram_dp(1, 1).counts == {1: 1}
-
-
-def test_histogram_guards():
-    with pytest.raises(ValueError):
-        residue_histogram_enum(41, 3)
-    with pytest.raises(ValueError):
-        residue_histogram_enum(4, 0)
-    with pytest.raises(ValueError):
-        residue_histogram_dp(4, 0)
-    with pytest.raises(ValueError):
-        residue_histogram_dp(-1, 3)
-    with pytest.raises(ValueError, match="guard of 20"):
-        residue_histogram_dp(4, 21)
-    with pytest.raises(ValueError, match="guard of 20"):
-        residue_histogram_enum(4, 21)
 
 
 @given(st.integers(min_value=0, max_value=24), st.integers(min_value=1, max_value=8))
@@ -130,10 +114,10 @@ def test_verify_main_theorem_known():
     assert all(v["ok"] for v in verify_main_theorem(1, 3))
 
 
-def test_verify_main_theorem_guards():
-    with pytest.raises(ValueError, match="at least 1"):
+def test_verify_main_theorem_guards(no_work):
+    with pytest.raises(ValueError, match="^modulus exponent must be at least 1, got 0$"):
         verify_main_theorem(0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_extra must be nonnegative$"):
         verify_main_theorem(3, -1)
 
 
@@ -350,15 +334,15 @@ def test_verify_one_step_catches_wrong_shift(monkeypatch):
     assert not all(v["step_identity"] for v in verify_one_step(3, 12))
 
 
-def test_verify_one_step_catches_wrong_row_factors(capsys, monkeypatch):
+def test_verify_one_step_catches_wrong_row_factors(run, monkeypatch):
     # mutation: from row 6 on, each row takes one odd factor too many (row 6 holds 1, 3, 5, 7); the
     # walk folds what _row_factors adds, the step law adds the shift by n, so the two routes part
     true_rows = residues._row_factors
     monkeypatch.setattr(residues, "_row_factors", lambda n: range(1, 2 * (n // 2) + 2, 2) if n >= 6 else true_rows(n))
     assert [v["n"] for v in verify_one_step(3, 12) if not v["step_identity"]] == [5]
     assert [v["n"] for v in verify_one_step(5, 20) if not v["step_identity"]] == [5, 7, 9, 11, 13, 15]
-    assert main(["verify", "one-step", "-k", "3"]) == 1
-    assert capsys.readouterr().err == "FAIL: suite one-step\n"
+    code, _, err = run("verify", "one-step", "-k", "3")
+    assert (code, err) == (1, "FAIL: suite one-step\n")
 
 
 def test_verify_one_step_flags_lost_flatness(monkeypatch):
@@ -404,10 +388,10 @@ def test_pi_multiset_strict_reading_breaks_at_odd_ranks(monkeypatch):
     assert pi_multiset(6) == f_valued_row(6)
 
 
-def test_pi_multiset_guards():
-    with pytest.raises(ValueError):
+def test_pi_multiset_guards(no_work):
+    with pytest.raises(ValueError, match="^rank must be nonnegative$"):
         pi_multiset(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rank 41 exceeds the guard of 40$"):
         pi_multiset(41)
 
 
@@ -421,24 +405,3 @@ def test_pi_rows_are_fresh_rows(last):
         assert products == pi_multiset(n) == Counter(prod(s) for r in range(len(factors) + 1) for s in combinations(factors, r))
         assert 0 not in products.values()
     assert n == last
-
-
-def test_pi_rows_guard_before_any_product(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"factors of row {n} taken before the guard")
-
-    monkeypatch.setattr(residues, "_row_factors", refuse)
-    with pytest.raises(ValueError, match="guard of 40"):
-        next(residues.pi_rows(41))
-
-
-def test_enum_guards_before_any_product(monkeypatch):
-    # the enumeration is pi_rows' walk: its rank guard refuses row 41, after the modulus check
-    def refuse(n):
-        raise AssertionError(f"factors of row {n} taken before the guard")
-
-    monkeypatch.setattr(residues, "_row_factors", refuse)
-    with pytest.raises(ValueError, match="guard of 40"):
-        residue_histogram_enum(41, 3)
-    with pytest.raises(ValueError, match="modulus exponent must be at least 1"):
-        residue_histogram_enum(41, 0)
