@@ -10,7 +10,7 @@ import sys
 from itertools import chain, islice
 from typing import Any, Iterable, Iterator, Sequence
 
-from .core import EMPTY_TOKEN, ROW_MAX_RANK, SUBSET_MAX_RANK, Word, check_rank, row_size, word_text
+from .core import EMPTY_TOKEN, ROW_MAX_RANK, Word, check_rank, row_size, word_text
 from .fstat import f_blocks, f_recursive, f_row
 from .macdonald import f_valued_rows, tree_rows
 from .primes import check_prime, coprime_count, is_coprime_structural, residue_distribution_mod_p
@@ -88,15 +88,9 @@ def _text(keys: Sequence[str], rows: Iterable[Iterable[Any]], fmt: str) -> Itera
 
 
 def _json(doc: Any, indent: int | None = 2) -> Iterable[str]:
-    """The document and a newline; indent None gives a JSON Lines record.
-
-    An indented document is laid out as json.dumps(doc, indent=indent) would,
-    but chunk by chunk, so a long record list is never one string.
-    """
+    """The document and a newline, as json.dumps(doc, indent=indent) lays it out but chunk by chunk."""
     import json  # only where JSON is written: --help, tables and csv never load it
 
-    if indent is None:
-        return [json.dumps(doc), "\n"]
     return chain(json.JSONEncoder(indent=indent).iterencode(doc), ["\n"])
 
 
@@ -223,7 +217,6 @@ def _suite_pi_row(args: argparse.Namespace) -> list[dict[str, Any]]:
     the tests do, up to rank 30.  Rows compare by dict equality, in C: neither
     stores a zero count, so it agrees with Counter's ==.
     """
-    check_rank(args.max_n, SUBSET_MAX_RANK)
     records = []
     for (n, products), (_, f_values) in zip(pi_rows(args.max_n), f_valued_rows(args.max_n)):
         size = sum(products.values())

@@ -247,13 +247,6 @@ def test_verify_oracle_counts_each_word_once(run, monkeypatch):
     assert len(calls) <= 609  # the words of rows 0..12: F(15) - 1
 
 
-def test_whole_row_guards(run):
-    code, out, err = run("enumerate", "-n", "25")
-    assert code == 1 and out == "" and "guard of 24" in err
-    code, out, err = run("verify", "oracle", "--max-rank", "25")
-    assert code == 1 and out == "" and "guard of 24" in err
-
-
 def test_verify_coprime_word_guard_boundary(run, monkeypatch):
     # 5 primes over rows 0..24 walk 5 * 196417 = 982085 <= 2^20 words, 6 walk 1178502
     def reached(n):

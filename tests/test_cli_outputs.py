@@ -169,6 +169,10 @@ REFUSED = [
     ("residues -n 25 -p 4", "4 is not prime"),
     ("enumerate -n 25 --filter coprime -p 4", "4 is not prime"),  # the prime before the row, as residues
     ("verify coprime -p 2 -p 4 --max-n 3", "4 is not prime"),  # every prime before the rows of the first
+    ("residues -n 3 -p 2", "p must be an odd prime"),
+    ("verify coprime -p 1 --max-n 2", "1 is not prime"),
+    ("residues -n 3 -p 1763", "1763 is not prime"),  # 41 * 43: no witness divides it, Miller-Rabin decides
+    ("verify coprime -p 318665857834031151167461 --max-n 1", "the bound of the deterministic primality test"),
 ]
 
 # A missing, clashing or stray option, under the usage line of the command or suite given it.

@@ -31,12 +31,16 @@ GUARDED = [
     (residues.residue_histogram_dp, (4, 21), "modulus exponent 21 exceeds the guard of 20"),
     (residues.residue_histogram_dp, (-1, 3), NEGATIVE),
     (residues.residue_histogram_dp, (10**9, 3), f"DP work {10**18} for rows 1000000000..1000000000 mod 2^3 {DP}"),
+    (residues.verify_main_theorem, (0, 2), K0),
+    (residues.verify_main_theorem, (3, -1), "n_extra must be nonnegative"),
     (residues.verify_main_theorem, (15, 0), f"DP work 1099780079616 for rows 16386..16386 mod 2^15 {DP}"),
     (residues.verify_one_step, (21, 2), "modulus exponent 21 exceeds the guard of 20"),
     (residues.verify_one_step, (3, -1), "n_max must be nonnegative"),
     (residues.verify_one_step, (1, 1 << 21), f"DP work 25563657011200 for rows 0..2097153 mod 2^1 {DP}"),
     (residues.multiplicative_shift, (ResidueHistogram(4, {1: 1, 3: 0}), 2), "shift factor must be odd, got 2"),
     (residues.pi_rows, (41,), "rank 41 exceeds the guard of 40"),
+    (residues.pi_multiset, (-1,), NEGATIVE),
+    (residues.pi_multiset, (41,), "rank 41 exceeds the guard of 40"),
     # primes, and the counts over them
     (primes.is_coprime_direct, ((2, 1), 4), "4 is not prime"),
     (primes.is_coprime_structural, ((2, 1), 4), "4 is not prime"),

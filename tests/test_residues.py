@@ -114,13 +114,6 @@ def test_verify_main_theorem_known():
     assert all(v["ok"] for v in verify_main_theorem(1, 3))
 
 
-def test_verify_main_theorem_guards(no_work):
-    with pytest.raises(ValueError, match="^modulus exponent must be at least 1, got 0$"):
-        verify_main_theorem(0, 2)
-    with pytest.raises(ValueError, match="^n_extra must be nonnegative$"):
-        verify_main_theorem(3, -1)
-
-
 def test_dp_work_guard(monkeypatch):
     def no_fold(*args):
         raise AssertionError("folded before the guard")
@@ -229,15 +222,17 @@ def test_verify_one_step_scan():
 
 def test_verify_one_step_walks_rows_once(monkeypatch):
     calls = Counter()
-    fold, dlog = residues._fold, residues._dlog
+    fold, dlog, flat = residues._fold, residues._dlog, residues.is_equidistributed
     monkeypatch.setattr(residues, "_fold", lambda *a: calls.update(["fold"]) or fold(*a))
     monkeypatch.setattr(residues, "_dlog", lambda k: calls.update(["dlog"]) or dlog(k))
-    # the last rows walked, 30 and 31, hold 15 factors each: every one folds once
+    monkeypatch.setattr(residues, "is_equidistributed", lambda h: calls.update(["flat"]) or flat(h))
+    # the last rows walked, 30 and 31, hold 15 factors each: every one folds once, and every
+    # row walked (21 rows from 10, 32 from 0) is tested for flatness once
     assert all(v["ok"] for v in verify_main_theorem(4, 20))
-    assert calls == {"fold": 15, "dlog": 1}
+    assert calls == {"fold": 15, "dlog": 1, "flat": 21}
     calls.clear()
     assert all(v["ok"] for v in verify_one_step(4, 30))
-    assert calls == {"fold": 15, "dlog": 1}
+    assert calls == {"fold": 15, "dlog": 1, "flat": 32}
 
 
 def test_walk_matches_dp_row_by_row():
@@ -386,13 +381,6 @@ def test_pi_multiset_strict_reading_breaks_at_odd_ranks(monkeypatch):
     assert strict != f_valued_row(7)
     # at even ranks the two readings coincide
     assert pi_multiset(6) == f_valued_row(6)
-
-
-def test_pi_multiset_guards(no_work):
-    with pytest.raises(ValueError, match="^rank must be nonnegative$"):
-        pi_multiset(-1)
-    with pytest.raises(ValueError, match="^rank 41 exceeds the guard of 40$"):
-        pi_multiset(41)
 
 
 @settings(max_examples=20, deadline=None)
