@@ -31,7 +31,7 @@ ROW_MAX_RANK = 24
 TREE_MAX_RANK = 30
 # A histogram mod 2^k holds 2^(k-1) buckets: residues -n 10 -k 20 peaks at
 # 98-100 MiB as a table, CSV or JSON, and verify one-step -k 20 --max-n 2, the
-# last run the DP guard accepts at k = 20, at 178 MiB in 1.7-2.1 s (2-core
+# last run the DP guard accepts at k = 20, at 178 MiB in 1.2-1.5 s (2-core
 # x86-64 VM); each further step of k doubles that.
 MODULUS_MAX_POW = 20
 

@@ -16,11 +16,11 @@ rotation plus one C-level add per coefficient.  A component that the factor
 sends to 0 stays 0 and is dropped, and outside the trivial component (the
 row size) the coefficients stay near 200 bits at k = 13, where the bucket
 counts reach 2038.  One walk over consecutive rows, _walk, serves the single
-histogram, the threshold scan and the step law: its first row folds 2^i + 1
-and 2^i - 1 (i = k-1 down to 2) first, which kill the widest components
-first (the ring is commutative: only the cost changes, and no fold is
-skipped), and each later row folds what _row_factors adds, so the step law
-stays a route of its own.  Every row is read back exactly.
+histogram, the threshold scan and the step law: each row folds what
+_row_factors adds to the row before, 2^i + 1 and 2^i - 1 (i = k-1 down to 2)
+first, which kill the widest components first (the ring is commutative: only
+the cost changes, and no fold is skipped), so the step law stays a route of
+its own.  Every row that folds is read back exactly.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def residue_histogram_enum(n: int, k: int) -> ResidueHistogram:
 # (the dicts and sets of the records and of one-step's multiplicative_shift)
 # and 2^21 per row.  On a 2-core x86-64 VM the threshold row 2^(k-1)+2 takes
 # 0.11 s at k = 13 (W ~ 2^34), 0.13 s at k = 14 (2^37) and 0.2 s at k = 15
-# (2^40, refused).  The last runs accepted for k from 1 to 14 take 0.6-4.7 s:
+# (2^40, refused).  The last runs accepted for k from 1 to 14 take 0.5-4.7 s:
 # the last single row at k = 1 and 2, row 524289, 4.1-4.7 s and 3.0 s.
 DP_MAX_WORK = 1 << 38
 
@@ -168,11 +168,11 @@ def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, ResidueHistogram]]:
     """Rows n through last with their histograms mod 2^k, in one pass.
 
     Every guard runs before the first fold, the DP work priced by the last
-    row's folds and every row read back.  Row n folds its factors into the
-    unit components, 2^i + 1 and 2^i - 1 first so that the widest die first
-    (the ring is commutative: only the cost changes; no fold is skipped);
-    each later row folds what _row_factors adds to it.  Every row is read
-    back on its own, with one discrete-log table and residue key list.
+    row's folds and every row read back.  Each row folds what _row_factors
+    adds to the row before, 2^i + 1 and 2^i - 1 first so that the widest
+    components die first (the ring is commutative: only the cost changes).
+    A row that folds is read back; one that folds nothing is the row before,
+    the same object: callers must not mutate a yielded histogram.
     """
     _check_modulus_pow(k)
     check_rank(n)
@@ -180,17 +180,17 @@ def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, ResidueHistogram]]:
     dlog = _dlog(k)
     keys = list(range(1, 1 << k, 2))
     size = max(1, len(dlog) // 2)
-    state = _unit(size)
-    factors = _row_factors(n)
-    lead = dict.fromkeys(c for i in range(k - 1, 1, -1) for c in (2**i + 1, 2**i - 1) if c in factors)
-    for c in chain(lead, filterfalse(lead.__contains__, factors)):
-        state = _fold(state, c, dlog)
+    lead = dict.fromkeys(c for i in range(k - 1, 1, -1) for c in (2**i + 1, 2**i - 1))
+    state, h, folded = _unit(size), None, 0
     for row in range(n, last + 1):
-        if row > n:
-            before, factors = len(factors), _row_factors(row)
-            for c in factors[before:]:
-                state = _fold(state, c, dlog)
-        yield row, ResidueHistogram(1 << k, dict(zip(keys, map(_read_back(state, size).__getitem__, dlog))))
+        factors = _row_factors(row)
+        new, folded = factors[folded:], len(factors)
+        for c in chain(filter(new.__contains__, lead), filterfalse(lead.__contains__, new)):
+            h = None  # before the fold, so that the stale row is not held through it
+            state = _fold(state, c, dlog)
+        if h is None:
+            h = ResidueHistogram(1 << k, dict(zip(keys, map(_read_back(state, size).__getitem__, dlog))))
+        yield row, h
 
 
 def residue_histogram_dp(n: int, k: int) -> ResidueHistogram:

@@ -222,17 +222,42 @@ def test_verify_one_step_scan():
 
 def test_verify_one_step_walks_rows_once(monkeypatch):
     calls = Counter()
-    fold, dlog, flat = residues._fold, residues._dlog, residues.is_equidistributed
+    fold, dlog, flat, read_back = residues._fold, residues._dlog, residues.is_equidistributed, residues._read_back
     monkeypatch.setattr(residues, "_fold", lambda *a: calls.update(["fold"]) or fold(*a))
     monkeypatch.setattr(residues, "_dlog", lambda k: calls.update(["dlog"]) or dlog(k))
     monkeypatch.setattr(residues, "is_equidistributed", lambda h: calls.update(["flat"]) or flat(h))
+    monkeypatch.setattr(residues, "_read_back", lambda *a: calls.update(["read_back"]) or read_back(*a))
     # the last rows walked, 30 and 31, hold 15 factors each: every one folds once, and every
-    # row walked (21 rows from 10, 32 from 0) is tested for flatness once
+    # row walked (21 rows from 10, 32 from 0) is tested for flatness once; only the first row
+    # and the rows that fold (the even ones after it) are read back
     assert all(v["ok"] for v in verify_main_theorem(4, 20))
-    assert calls == {"fold": 15, "dlog": 1, "flat": 21}
+    assert calls == {"fold": 15, "dlog": 1, "flat": 21, "read_back": 11}
     calls.clear()
     assert all(v["ok"] for v in verify_one_step(4, 30))
-    assert calls == {"fold": 15, "dlog": 1, "flat": 32}
+    assert calls == {"fold": 15, "dlog": 1, "flat": 32, "read_back": 16}
+
+
+def _odd_row_factors(n):
+    """A mutant row definition whose new factor arrives at odd rows: row n holds row n + 1's factors."""
+    return range(1, 2 * ((n + 1) // 2), 2)
+
+
+def test_walk_reuses_a_row_exactly_when_it_folds_nothing(monkeypatch):
+    # reuse keyed on the row's parity would hand back row n - 1 at the odd rows that fold here
+    monkeypatch.setattr(residues, "_row_factors", _odd_row_factors)
+    for k in range(1, 7):
+        rows = list(residues._walk(k, 0, 40))
+        assert all(h == residue_histogram_dp(n, k) for n, h in rows), k
+        for (n, h), (_, before) in zip(rows[1:], rows):
+            assert (h is before) == (len(_odd_row_factors(n)) == len(_odd_row_factors(n - 1))), (k, n)
+
+
+def test_verify_one_step_catches_factors_that_arrive_at_odd_rows(monkeypatch):
+    # with the mutant, walk row n is true row n + 1: row n + 1 is row n where the step law adds the
+    # shift by n (odd n), and adds a factor where the step law adds none (even n), so every step fails
+    monkeypatch.setattr(residues, "_row_factors", _odd_row_factors)
+    for k in range(1, 6):
+        assert not any(v["step_identity"] for v in verify_one_step(k, 20)), k
 
 
 def test_walk_matches_dp_row_by_row():
