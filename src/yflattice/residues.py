@@ -20,7 +20,8 @@ histogram, the threshold scan and the step law: each row folds what
 _row_factors adds to the row before, 2^i + 1 and 2^i - 1 (i = k-1 down to 2)
 first, which kill the widest components first (the ring is commutative: only
 the cost changes, and no fold is skipped), so the step law stays a route of
-its own.  Every row that folds is read back exactly.
+its own.  Every row that folds is read back exactly and widened to 2^(k-1)
+counts last, since the levels above its last live one only duplicate.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ def residue_histogram_enum(n: int, k: int) -> ResidueHistogram:
 # count (adds, shifts and hashes of counts up to half bits), 2^17 per count
 # (the dicts and sets of the records and of one-step's multiplicative_shift)
 # and 2^21 per row.  On a 2-core x86-64 VM the threshold row 2^(k-1)+2 takes
-# 0.11 s at k = 13 (W ~ 2^34), 0.13 s at k = 14 (2^37) and 0.2 s at k = 15
-# (2^40, refused).  The last runs accepted for k from 1 to 14 take 0.5-4.7 s:
-# the last single row at k = 1 and 2, row 524289, 4.1-4.7 s and 3.0 s.
+# 0.07-0.10 s at k = 13 (W ~ 2^34), 0.08-0.12 s at k = 14 (2^37) and 0.13 s at
+# k = 15 (2^40, refused).  The last runs accepted for k from 1 to 14 take
+# 0.4-5.5 s: the last single row at k = 1 and 2, row 524289, 3.8-5.5 s and 2.7-3.2 s.
 DP_MAX_WORK = 1 << 38
 
 
@@ -146,13 +147,16 @@ def _read_back(state: Components, size: int) -> list[int]:
 
     Each half comes back up the factorization of x^L - 1, L = size, by the
     butterfly (u, v) -> (u + v, u - v), the level-j part v shifted left by j
-    so that nothing is halved on the way; the two halves meet in one more
-    butterfly and one exact right shift.
+    so that nothing is halved, up to the last level live in either half; the
+    halves meet in one more butterfly and one exact right shift.  Each level
+    above only duplicates, which commutes with both, so each result is
+    widened to L entries last: a flat row is 2L references to two ints.
     """
+    live = max((d.bit_length() for _, t, d in state if t), default=0)
     halves = []
     for y in (0, 1):
         a = state.get((y, 0, 1), [0])
-        for j in range(size.bit_length() - 1):
+        for j in range(live):
             v = state.get((y, 1, 1 << j))
             if v is None:  # a dead component: v = 0, so both halves are u
                 a = a * 2
@@ -160,8 +164,9 @@ def _read_back(state: Components, size: int) -> list[int]:
                 v = list(map(lshift, v, repeat(j)))
                 a = [*map(add, a, v), *map(sub, a, v)]
         halves.append(a)
-    shift = repeat(size.bit_length())
-    return [*map(rshift, map(add, *halves), shift), *map(rshift, map(sub, *halves), shift)]
+    shift, wide = repeat(size.bit_length()), size >> live
+    plus, minus = map(rshift, map(add, *halves), shift), map(rshift, map(sub, *halves), shift)
+    return [*plus, *minus] if wide == 1 else [*plus] * wide + [*minus] * wide  # list * 1 would copy
 
 
 def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, ResidueHistogram]]:

@@ -1,7 +1,7 @@
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, repeat
 from math import prod
-from operator import add
+from operator import add, lshift, rshift, sub
 import tracemalloc
 
 from hypothesis import example, given, settings, strategies as st
@@ -294,6 +294,35 @@ def _bucket_walk(k, n, last):
         yield row, ResidueHistogram(1 << k, {2 * i + 1: flat[code] for i, code in enumerate(dlog)})
 
 
+def _bucket_read_back(state, size):
+    """Reference read-back: each half widened to all L = size buckets, level by level, before the halves meet."""
+    halves = []
+    for y in (0, 1):
+        a = state.get((y, 0, 1), [0])
+        for j in range(size.bit_length() - 1):
+            v = state.get((y, 1, 1 << j))
+            if v is None:
+                a = a * 2
+            else:
+                v = list(map(lshift, v, repeat(j)))
+                a = [*map(add, a, v), *map(sub, a, v)]
+        halves.append(a)
+    shift = repeat(size.bit_length())
+    return [*map(rshift, map(add, *halves), shift), *map(rshift, map(sub, *halves), shift)]
+
+
+@given(st.integers(1, 10), st.data())
+@settings(max_examples=200, deadline=None)
+def test_read_back_matches_bucket_reference(k, data):
+    """Any set of live components, on either half and at any level, dead levels below a live one
+    included, with signed coefficients: the walks reach only the kill patterns the fold order makes."""
+    size = 1 << max(0, k - 2)
+    keys = [(y, t, d) for y in (0, 1) for t, d in [(0, 1)] + [(1, 1 << j) for j in range(size.bit_length() - 1)]]
+    live, rng = data.draw(st.lists(st.sampled_from(keys), unique=True)), data.draw(st.randoms(use_true_random=False))
+    state = {key: [rng.randint(-(1 << 80), 1 << 80) for _ in range(key[2])] for key in live}
+    assert residues._read_back(state, size) == _bucket_read_back(state, size)
+
+
 def test_walk_matches_bucket_reference():
     for k in range(1, 10):
         for start in (0, 7):
@@ -330,16 +359,40 @@ def test_walk_rows_are_nonnegative_with_full_mass():
             assert sum(h.counts.values()) == 1 << (n // 2), (k, n)
 
 
-def test_verify_main_theorem_peak_memory():
-    # the bucket DP peaked at 0.36 MiB here (Python 3.10-3.12), the component fold at 0.23-0.24
+def _traced_peak(f, *args):
     tracemalloc.start()
     try:
-        records = verify_main_theorem(11, 4)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_verify_main_theorem_peak_memory():
+    # the bucket DP peaked at 0.36 MiB here (Python 3.10-3.12), the component fold at 0.23-0.24,
+    # and 0.13 since flat rows are read back widened last
+    records, peak = _traced_peak(verify_main_theorem, 11, 4)
     assert all(r["ok"] for r in records)
     assert peak < 0.30 * 2**20
+
+
+def test_threshold_rows_are_read_back_by_reference():
+    """A flat row is one live component: its 2^(k-1) counts are references to at most two ints."""
+    for k in range(3, 13):
+        counts = residue_histogram_dp((1 << (k - 1)) + 2, k).counts.values()
+        assert len(set(map(id, counts))) <= 2, k
+    # row 4098 mod 2^13 peaked at 1.72 MiB when each count was built afresh, 0.55 by reference
+    h, peak = _traced_peak(residue_histogram_dp, 4098, 13)
+    assert is_equidistributed(h) and len(set(map(id, h.counts.values()))) <= 2
+    assert peak < 1 * 2**20
+
+
+def test_non_flat_read_back_peak_memory():
+    # the row before the threshold keeps its widest component alive: 0.236-0.237 MiB with the
+    # full-width read-back, and no more than 5 % above that with the widening moved last
+    h, peak = _traced_peak(residue_histogram_dp, 1025, 11)
+    assert not is_equidistributed(h)
+    assert peak < 0.248 * 2**20
 
 
 def test_verify_one_step_flags_match_dp():
