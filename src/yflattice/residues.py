@@ -263,7 +263,6 @@ def verify_one_step(k: int, n_max: int) -> list[dict[str, Any]]:
     flatness at n carries over to n+1.  Each row is tested for flatness
     once, as the walk yields it, and the flag serves both steps it is in.
     """
-    _check_modulus_pow(k)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     rows = ((n, h, is_equidistributed(h)) for n, h in _walk(k, 0, n_max + 1))
