@@ -35,7 +35,6 @@ from .primes import (
 from .residues import (
     ResidueHistogram,
     is_equidistributed,
-    multiplicative_shift,
     pi_multiset,
     residue_histogram_dp,
     residue_histogram_enum,
@@ -71,7 +70,6 @@ __all__ = [
     "residue_distribution_mod_p",
     "ResidueHistogram",
     "is_equidistributed",
-    "multiplicative_shift",
     "pi_multiset",
     "residue_histogram_dp",
     "residue_histogram_enum",

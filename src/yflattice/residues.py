@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import chain, filterfalse, pairwise, repeat, starmap
-from operator import add, lshift, mod, mul, rshift, sub
+from operator import add, eq, lshift, mod, mul, rshift, sub
 from typing import Any, Iterator, NamedTuple
 
 from .core import MODULUS_MAX_POW, SUBSET_MAX_RANK, check_rank
@@ -73,12 +73,13 @@ def residue_histogram_enum(n: int, k: int) -> ResidueHistogram:
 # adds, on coefficients of a few hundred bits) and one read-back; at k <= 2 the
 # coefficients are the whole counts, so a single row costs more, hence the
 # floor.  Each further row pays its read-back and checks: 9 per bit of each
-# count (adds, shifts and hashes of counts up to half bits), 2^17 per count
-# (the dicts and sets of the records and of one-step's multiplicative_shift)
-# and 2^21 per row.  On a 2-core x86-64 VM the threshold row 2^(k-1)+2 takes
-# 0.07-0.10 s at k = 13 (W ~ 2^34), 0.08-0.12 s at k = 14 (2^37) and 0.13 s at
-# k = 15 (2^40, refused).  The last runs accepted for k from 1 to 14 take
-# 0.4-5.5 s: the last single row at k = 1 and 2, row 524289, 3.8-5.5 s and 2.7-3.2 s.
+# count (adds and shifts of counts up to half bits), 2^17 per count (the
+# read-back's dict, the flatness scan and one-step's step law) and 2^21 per
+# row; since the checks hash no count, these terms over-charge them.  On a
+# 2-core x86-64 VM the threshold row 2^(k-1)+2 takes 0.07-0.10 s at k = 13
+# (W ~ 2^34), 0.08-0.12 s at k = 14 (2^37) and 0.13 s at k = 15 (2^40,
+# refused).  The last runs accepted for k from 1 to 14 take 0.2-2.9 s: the
+# last single row at k = 1 and 2, row 524289, 2.8-2.9 s and 1.6-1.7 s.
 DP_MAX_WORK = 1 << 38
 
 
@@ -209,30 +210,27 @@ def residue_histogram_dp(n: int, k: int) -> ResidueHistogram:
 
 
 def is_equidistributed(h: ResidueHistogram) -> bool:
-    """True iff every residue class in the histogram has the same count."""
-    return len(set(h.counts.values())) == 1
+    """True iff every residue class in the histogram has the same count.
 
-
-def multiplicative_shift(h: ResidueHistogram, c: int) -> ResidueHistogram:
-    """Push the histogram forward along residue -> residue * c.
-
-    Serves moduli 2^k, where an odd c permutes the odd residues, the keys.
+    One C-level scan that stops at the first count unlike the first, and
+    hashes nothing; int == returns at once for the same object, so a flat
+    row read back by reference is compared mostly by pointer.
     """
-    if c % 2 == 0:
-        raise ValueError(f"shift factor must be odd, got {c}")
-    m = h.modulus
-    return ResidueHistogram(m, {r * c % m: count for r, count in h.counts.items()})
+    values = iter(h.counts.values())
+    return all(map(eq, values, repeat(next(values))))
 
 
 def _stepped(h: ResidueHistogram, n: int) -> ResidueHistogram:
     """Histogram of row n+1 from the histogram of row n, by the step law.
 
-    Even n adds no factor; odd n adds to the histogram its own shift by n.
+    Even n adds no factor; odd n adds to the histogram its own shift by n,
+    pulled back: the shift's count at r is the count at r * n^-1 mod 2^k.
     """
     if n % 2 == 0:
         return h
-    shifted = multiplicative_shift(h, n).counts
-    return ResidueHistogram(h.modulus, {r: count + shifted[r] for r, count in h.counts.items()})
+    m, counts = h.modulus, h.counts
+    inv = pow(n, -1, m)
+    return ResidueHistogram(m, {r: c + counts[r * inv % m] for r, c in counts.items()})
 
 
 def verify_main_theorem(k: int, n_extra: int) -> list[dict[str, Any]]:
@@ -258,10 +256,10 @@ def verify_one_step(k: int, n_max: int) -> list[dict[str, Any]]:
     """Step records mod 2^k for every step n -> n+1 with n up to n_max.
 
     One _walk over rows 0..n_max+1 gives each row n+1 by folding; the step
-    law, stepped from row n through multiplicative_shift, must give the
-    same histogram (step_identity).  A record is ok when that holds and
-    flatness at n carries over to n+1.  Each row is tested for flatness
-    once, as the walk yields it, and the flag serves both steps it is in.
+    law, stepped from row n alone by _stepped, must give the same histogram
+    (step_identity).  A record is ok when that holds and flatness at n
+    carries over to n+1.  Each row is tested for flatness once, as the walk
+    yields it, and the flag serves both steps it is in.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

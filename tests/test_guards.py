@@ -9,7 +9,7 @@ their first product or fold and which are therefore read once.
 
 import pytest
 
-from yflattice import ResidueHistogram, core, fstat, macdonald, primes, residues
+from yflattice import core, fstat, macdonald, primes, residues
 
 NEGATIVE = "rank must be nonnegative"
 K0 = "modulus exponent must be at least 1, got 0"
@@ -53,7 +53,6 @@ GUARDED = [
     (residues.verify_one_step, (21, 2), "modulus exponent 21 exceeds the guard of 20"),
     (residues.verify_one_step, (3, -1), "n_max must be nonnegative"),
     (residues.verify_one_step, (1, 1 << 21), f"DP work 25563657011200 for rows 0..2097153 mod 2^1 {DP}"),
-    (residues.multiplicative_shift, (ResidueHistogram(4, {1: 1, 3: 0}), 2), "shift factor must be odd, got 2"),
     (residues.pi_rows, (41,), "rank 41 exceeds the guard of 40"),
     (residues.pi_multiset, (-1,), NEGATIVE),
     (residues.pi_multiset, (41,), "rank 41 exceeds the guard of 40"),

@@ -15,7 +15,6 @@ from yflattice import (
     f_valued_row,
     is_equidistributed,
     is_odd_word,
-    multiplicative_shift,
     pi_multiset,
     residue_histogram_dp,
     residue_histogram_enum,
@@ -90,20 +89,35 @@ def test_is_equidistributed():
     assert is_equidistributed(ResidueHistogram(8, {1: 2, 3: 2, 5: 2, 7: 2}))
     assert not is_equidistributed(ResidueHistogram(8, {1: 2, 3: 2, 5: 0, 7: 0}))
     assert is_equidistributed(ResidueHistogram(2, {1: 1}))
+    # equal counts that are distinct objects: the verdict is by value, not by identity
+    big = [int("9" * 40) for _ in range(4)]
+    assert big[0] is not big[1] and is_equidistributed(ResidueHistogram(8, dict(zip((1, 3, 5, 7), big))))
+    # one bucket off, last or first: the scan reads every count
+    assert not is_equidistributed(ResidueHistogram(8, {1: 2, 3: 2, 5: 2, 7: 3}))
+    assert not is_equidistributed(ResidueHistogram(8, {1: 3, 3: 2, 5: 2, 7: 2}))
 
 
-def test_multiplicative_shift():
-    h = residue_histogram_enum(5, 3)
-    assert multiplicative_shift(h, 5).counts == {1: 0, 3: 0, 5: 2, 7: 2}
-    assert multiplicative_shift(h, 1).counts == h.counts
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=12), st.booleans())
+def test_is_equidistributed_matches_set(values, fresh):
+    if fresh:  # each count a distinct object, equal counts included
+        values = [int(str(10**40 + v)) for v in values]
+    h = ResidueHistogram(2 * len(values), dict(zip(range(1, 2 * len(values), 2), values)))
+    assert is_equidistributed(h) == (len(set(values)) == 1)
 
 
-@given(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=40))
-@settings(max_examples=40)
-def test_shift_preserves_mass(n, k, c):
-    h = residue_histogram_dp(n, k)
-    shifted = multiplicative_shift(h, 2 * c + 1)
-    assert sum(shifted.counts.values()) == sum(h.counts.values())
+@given(st.integers(1, 8), st.integers(0, 300), st.integers(0, 300))
+@settings(max_examples=150, deadline=None)
+def test_stepped_is_the_push_forward_added(k, row, n):
+    """Any row's histogram, stepped by any n: the pull-back by n^-1 is the push-forward by n."""
+    h = residue_histogram_dp(row, k)
+    stepped = residues._stepped(h, n)
+    if n % 2 == 0:
+        assert stepped is h
+        return
+    m = h.modulus
+    shifted = {r * n % m: c for r, c in h.counts.items()}
+    assert stepped == ResidueHistogram(m, {r: c + shifted[r] for r, c in h.counts.items()})
+    assert sum(stepped.counts.values()) == 2 * sum(h.counts.values())
 
 
 def test_verify_main_theorem_known():
@@ -381,6 +395,14 @@ def test_non_flat_read_back_peak_memory():
     assert peak < 0.248 * 2**20
 
 
+def test_verify_one_step_peak_memory():
+    # the step law built a pushed-forward dict and a summed one per odd step: 2.21 MiB here (Python
+    # 3.11); one pulled-back dict peaks at 1.68, and the bound leaves 13 % above that
+    records, peak = _traced_peak(verify_one_step, 14, 20)
+    assert all(r["ok"] for r in records)
+    assert peak < 1.9 * 2**20
+
+
 def test_verify_one_step_flags_match_dp():
     for k in range(1, 7):
         for v in verify_one_step(k, 40):
@@ -388,9 +410,20 @@ def test_verify_one_step_flags_match_dp():
 
 
 def test_verify_one_step_catches_wrong_shift(monkeypatch):
-    shift = residues.multiplicative_shift
-    monkeypatch.setattr(residues, "multiplicative_shift", lambda h, c: shift(h, c + 2))
-    assert not all(v["step_identity"] for v in verify_one_step(3, 12))
+    stepped = residues._stepped
+    monkeypatch.setattr(residues, "_stepped", lambda h, n: stepped(h, n + 2))
+    assert [v["n"] for v in verify_one_step(3, 12) if not v["step_identity"]] == [1, 3]
+
+
+def test_verify_one_step_catches_a_pull_back_by_n(monkeypatch):
+    # mutation: pull back by n, not n^-1; every odd n is its own inverse mod 8, so only k >= 4 tells
+    def pulled_by_n(h, n):
+        m, counts = h.modulus, h.counts
+        return h if n % 2 == 0 else ResidueHistogram(m, {r: c + counts[r * n % m] for r, c in counts.items()})
+
+    monkeypatch.setattr(residues, "_stepped", pulled_by_n)
+    assert all(v["step_identity"] for v in verify_one_step(3, 40))
+    assert [v["n"] for v in verify_one_step(4, 40) if not v["step_identity"]] == [3, 5]
 
 
 def test_verify_one_step_catches_wrong_row_factors(run, monkeypatch):
@@ -418,10 +451,7 @@ def test_one_step_even_identity():
 
 
 def test_one_step_odd_decomposition():
-    before = residue_histogram_enum(5, 3)
-    shifted = multiplicative_shift(before, 5)
-    combined = {r: before.counts[r] + shifted.counts[r] for r in before.counts}
-    assert combined == residue_histogram_enum(6, 3).counts
+    assert residues._stepped(residue_histogram_enum(5, 3), 5).counts == residue_histogram_enum(6, 3).counts
 
 
 def test_pi_multiset_known():
