@@ -105,6 +105,24 @@ def test_is_equidistributed_matches_set(values, fresh):
     assert is_equidistributed(h) == (len(set(values)) == 1)
 
 
+def test_multiplicative_shift():
+    # an odd step adds the row shifted by n: row 5 mod 8 is {1: 2, 3: 2}, and 5 sends 1, 3 to 5, 7
+    h = residue_histogram_enum(5, 3)
+    added = {r: c - h.counts[r] for r, c in residues._stepped(h, 5).counts.items()}
+    assert added == {1: 0, 3: 0, 5: 2, 7: 2}
+    assert residues._stepped(h, 1).counts == {r: 2 * c for r, c in h.counts.items()}
+
+
+@given(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=40))
+@settings(max_examples=40)
+def test_shift_preserves_mass(n, k, c):
+    # the shift an odd step adds is nonnegative and carries the row's whole mass
+    h = residue_histogram_dp(n, k)
+    added = {r: s - h.counts[r] for r, s in residues._stepped(h, 2 * c + 1).counts.items()}
+    assert min(added.values()) >= 0
+    assert sum(added.values()) == sum(h.counts.values())
+
+
 @given(st.integers(1, 8), st.integers(0, 300), st.integers(0, 300))
 @settings(max_examples=150, deadline=None)
 def test_stepped_is_the_push_forward_added(k, row, n):
