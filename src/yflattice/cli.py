@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import EMPTY_TOKEN, ROW_MAX_RANK, Word, check_rank, row_size, word_text
 from .fstat import f_blocks, f_recursive, f_row
@@ -51,10 +51,6 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _cells(rows: Iterable[Iterable[Any]]) -> Iterator[Iterable[str]]:
-    return (map(_cell, row) for row in rows)
-
-
 def _widths(keys: Sequence[str], rows: Iterable[Iterable[str]]) -> list[int]:
     """Each column's width: its longest cell's or its key's length."""
     widths = list(map(len, keys))
@@ -80,11 +76,11 @@ def _csv(keys: Sequence[str], rows: Iterable[Iterable[str]]) -> Iterator[str]:
         yield ",".join(row) + "\n"
 
 
-def _text(keys: Sequence[str], rows: Iterable[Iterable[Any]], fmt: str) -> Iterator[str]:
-    """A table, or CSV for fmt "csv", of value rows; a table reads rows twice."""
+def _text(keys: Sequence[str], rows: Callable[[], Iterable[Iterable[str]]], fmt: str) -> Iterator[str]:
+    """A table, or CSV for fmt "csv", of the text rows rows() makes afresh: a table calls it twice, holding no row."""
     if fmt == "csv":
-        return _csv(keys, _cells(rows))
-    return _table(keys, _widths(keys, _cells(rows)), _cells(rows))
+        return _csv(keys, rows())
+    return _table(keys, _widths(keys, rows()), rows())
 
 
 def _json(doc: Any, indent: int | None = 2) -> Iterable[str]:
@@ -135,15 +131,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         chunks = _enumerate_json(records())
     elif args.format == "jsonl":
         chunks = (f'{{"word": "{w}", "rank": {r}, "f": "{f}", "odd": {odd}}}\n' for w, r, f, odd in records())
-    elif args.format == "csv":
-        chunks = _csv(_ENUMERATE_KEYS, records())
     else:
-        # widths from a first walk; odd is last, so it keeps its key's (see _table)
-        longest = top = 0
-        for word, _, f, _ in records():
-            longest, top = max(longest, len(word)), max(top, len(f))
-        widths = list(map(max, map(len, _ENUMERATE_KEYS), (longest, len(n), top, 0)))
-        chunks = _table(_ENUMERATE_KEYS, widths, records())
+        chunks = _text(_ENUMERATE_KEYS, records, args.format)
     _write(chunks, args.out)
     return 0
 
@@ -283,7 +272,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.format == "jsonl":
         chunks = chain.from_iterable(_json(r, None) for r in records)
     else:
-        chunks = _text(list(records[0]), [r.values() for r in records], args.format)
+        chunks = _text(list(records[0]), lambda: (map(_cell, r.values()) for r in records), args.format)
         if args.format == "table":
             chunks = chain(chunks, [f"{sum(r['ok'] for r in records)}/{len(records)} checks passed\n"])
     _write(chunks, args.out)
@@ -310,12 +299,12 @@ def cmd_residues(args: argparse.Namespace) -> int:
             doc["method"] = method
         chunks = _json(doc)
     else:
-        chunks = _text(["residue", "count"], h.counts.items(), args.format)
-        if args.format == "csv":
-            sys.stderr.write(verdict)
-        else:
+        chunks = _text(["residue", "count"], lambda: (map(str, rc) for rc in h.counts.items()), args.format)
+        if args.format == "table":
             chunks = chain(chunks, [verdict])
     _write(chunks, args.out)
+    if args.format == "csv":
+        sys.stderr.write(verdict)  # after the write, so that a failed one reports only its error
     return 1 if args.assert_flat and not flat else 0
 
 

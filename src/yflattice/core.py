@@ -23,16 +23,16 @@ EMPTY_TOKEN = "e"
 SUBSET_MAX_RANK = 40
 # A row is made as it is read, so the row guard bounds time and output, not
 # memory.  At rank 24, by the block walk (2-core x86-64 VM, 15 MiB peaks):
-# enumerate writes its 75025 words in 0.1-0.3 s, verify coprime takes
-# 0.75-1.5 s, residues -p 13 0.07 s, and verify oracle 0.75 s (73 MiB).
+# enumerate writes its 75025 words in 0.1-0.25 s, verify coprime takes
+# 0.75-1.5 s, residues -p 13 0.07 s, and verify oracle 0.9 s (72 MiB).
 ROW_MAX_RANK = 24
 # The tree guard bounds output and time: about 3 * 2^(n//2) nodes, and rank 30
-# writes 70 MB of JSON in 0.25 s (43 MiB peak) or 12 MB of DOT in 0.2 s.
+# writes 70 MB of JSON in 0.3 s (42 MiB peak) or 11 MB of DOT in 0.22 s.
 TREE_MAX_RANK = 30
 # A histogram mod 2^k holds 2^(k-1) buckets: residues -n 10 -k 20 peaks at
-# 98-100 MiB as a table, CSV or JSON, and verify one-step -k 20 --max-n 2, the
-# last run the DP guard accepts at k = 20, at 178 MiB in 1.2-1.5 s (2-core
-# x86-64 VM); each further step of k doubles that.
+# 102 MiB as a table, CSV or JSON, and verify one-step -k 20 --max-n 2, the
+# last run the DP guard accepts at k = 20, at 142 MiB in 0.83 s (2-core x86-64
+# VM, median of 3); each further step of k doubles that.
 MODULUS_MAX_POW = 20
 
 

@@ -15,7 +15,7 @@ per tail, and each word one multiplication.
 f_recursive recurses once per rank through one memo per process, shared by
 every call, so each word's chain count is computed once.  It refuses ranks
 above ROW_MAX_RANK up front, which also bounds the memo: at most the 196417
-words of rank <= 24, 73 MiB at the peak of verify oracle --max-rank 24.
+words of rank <= 24, 72 MiB at the peak of verify oracle --max-rank 24.
 """
 
 from __future__ import annotations

@@ -123,7 +123,7 @@ def _unit(size: int) -> Components:
     return {(y, t, d): [1] + [0] * (d - 1) for y in (0, 1) for t, d in rings}
 
 
-def _fold(state: Components, c: int, dlog: list[int]) -> Components:
+def _fold(state: Components, s: int, e: int) -> Components:
     """Fold one factor c = (-1)^s * 5^e: each subset skips c or takes it.
 
     In component (y, t, d) that multiplies by 1 + (-1)^(s*y) x^e, and x^e is
@@ -131,7 +131,6 @@ def _fold(state: Components, c: int, dlog: list[int]) -> Components:
     sub per coefficient.  Where the factor reduces to 1 - x^0 the component
     is 0 from then on and leaves the dict.
     """
-    s, e = divmod(dlog[(c >> 1) % len(dlog)], max(1, len(dlog) >> 1))  # (c mod 2^k) >> 1
     folded = {}
     for (y, t, d), a in state.items():
         r = e % d
@@ -193,7 +192,7 @@ def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, ResidueHistogram]]:
         new, folded = factors[folded:], len(factors)
         for c in chain(filter(new.__contains__, lead), filterfalse(lead.__contains__, new)):
             h = None  # before the fold, so that the stale row is not held through it
-            state = _fold(state, c, dlog)
+            state = _fold(state, *divmod(dlog[(c >> 1) % len(dlog)], size))  # (c mod 2^k) >> 1
         if h is None:
             h = ResidueHistogram(1 << k, dict(zip(keys, map(_read_back(state, size).__getitem__, dlog))))
         yield row, h

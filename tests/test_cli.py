@@ -1,6 +1,7 @@
 import json
+import re
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from yflattice import build_tree, cli, enumerate_rank, fstat, residues, word_text
 
@@ -316,6 +317,46 @@ def test_residues_prime_modulus(run):
     assert out.strip().splitlines() == ["residue,count", "1,2", "2,1"]
 
 
+small = st.integers(min_value=0, max_value=8)
+text_argv = st.one_of(
+    st.tuples(st.just("enumerate"), st.just("-n"), small.map(str), st.just("--filter"), st.sampled_from(["all", "odd"])),
+    st.tuples(st.just("enumerate"), st.just("-n"), small.map(str), st.just("--filter"), st.just("coprime"), st.just("-p"), st.sampled_from("2357")),
+    st.tuples(st.just("residues"), st.just("-n"), st.integers(0, 12).map(str), st.just("-k"), st.sampled_from("12345")),
+    st.tuples(st.just("residues"), st.just("-n"), st.integers(0, 12).map(str), st.just("-p"), st.sampled_from(["3", "5", "7", "11"])),
+    st.tuples(st.just("verify"), st.just("main"), st.just("-k"), st.sampled_from("1234"), st.just("--n-extra"), st.sampled_from("0123")),
+    st.tuples(st.just("verify"), st.just("one-step"), st.just("-k"), st.sampled_from("1234"), st.just("--max-n"), small.map(str)),
+    st.tuples(st.just("verify"), st.sampled_from(["pi-row", "coprime", "oracle"]), st.just("--max-n"), small.map(str)),
+)
+
+
+def _starts(line):
+    return [m.start() for m in re.finditer(r"\S+", line)]
+
+
+@settings(deadline=None)
+@given(text_argv)
+def test_table_is_the_csv_aligned(run, argv):
+    (code, table, table_err), (csv_code, csv, csv_err) = (run(*argv, "--format", fmt) for fmt in ("table", "csv"))
+    assert code == csv_code == 0 and table_err == ""
+    lines, rows = table.splitlines(), [line.split(",") for line in csv.splitlines()]
+    if argv[0] == "verify":
+        ok = rows[0].index("ok")
+        trailer = [f"{sum(row[ok] == 'true' for row in rows[1:])}/{len(rows) - 1} checks passed"]
+        assert csv_err == ""
+    elif argv[0] == "residues":
+        trailer = [f"verdict: {'flat' if len({count for _, count in rows[1:]}) == 1 else 'not-flat'}"]
+        assert csv_err == trailer[0] + "\n"
+    else:
+        trailer = []
+        assert csv_err == ""
+    assert lines[len(rows) :] == trailer
+    assert [line.split() for line in lines[: len(rows)]] == rows
+    # column j starts two spaces past column j - 1's widest cell or key, on every line
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    offsets = [sum(widths[:j]) + 2 * j for j in range(len(widths))]
+    assert all(_starts(line) == offsets for line in lines[: len(rows)])
+
+
 def test_deterministic_output(run):
     _, first, _ = run("tree", "--max-rank", "6", "--f-valued")
     _, second, _ = run("tree", "--max-rank", "6", "--f-valued")
@@ -332,11 +373,13 @@ def test_out_writes_file(tmp_path, run):
 
 def test_out_unwritable_path_is_an_error(tmp_path, run):
     target = tmp_path / "missing" / "x.csv"
-    code, out, err = run("enumerate", "-n", "3", "--format", "csv", "--out", str(target))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and "Traceback" not in err
-    assert not target.exists()
+    # residues csv writes its verdict to stderr, but only after a write that succeeds
+    for argv in (("enumerate", "-n", "3"), ("residues", "-n", "6", "-k", "3")):
+        code, out, err = run(*argv, "--format", "csv", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not target.exists()
 
 
 def test_help_exits_zero(run):
