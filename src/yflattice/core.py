@@ -24,7 +24,7 @@ SUBSET_MAX_RANK = 40
 # A row is made as it is read, so the row guard bounds time and output, not
 # memory.  At rank 24, by the block walk (2-core x86-64 VM, 15 MiB peaks):
 # enumerate writes its 75025 words in 0.1-0.25 s, verify coprime takes
-# 0.75-1.5 s, residues -p 13 0.07 s, and verify oracle 0.9 s (72 MiB).
+# 0.08-0.09 s, residues -p 13 0.07 s, and verify oracle 0.9 s (72 MiB).
 ROW_MAX_RANK = 24
 # The tree guard bounds output and time: about 3 * 2^(n//2) nodes, and rank 30
 # writes 70 MB of JSON in 0.3 s (42 MiB peak) or 11 MB of DOT in 0.22 s.

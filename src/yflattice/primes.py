@@ -5,6 +5,10 @@ prefix of rank n mod p followed by segments of rank exactly p, with every
 segment boundary falling between digits.  Every word of rank at most p
 qualifies, since its product factors all lie in 1..p-1, so the count C_p(n)
 of such words is a product of row sizes.
+
+The rule factors at any digit boundary: head + tail of rank n splits iff
+the head splits from cut n mod p and the tail on its own, as the tail's
+cuts at rank(tail) mod p + jp are the same absolute positions.
 """
 
 from __future__ import annotations
@@ -61,16 +65,9 @@ def is_coprime_direct(w: Word, p: int) -> bool:
     return f_mod(w, p) != 0
 
 
-def is_coprime_structural(w: Word, p: int) -> bool:
-    """Coprimality read off the digits, no arithmetic on chain counts.
-
-    Requires cut points at cumulative ranks n mod p, n mod p + p, ..., n;
-    each must land on a digit boundary (a 2 straddling a cut kills the
-    split).  The prefix before the first cut is the only part allowed a
-    rank below p.  One pointer walks the cuts along the prefix sums.
-    """
-    check_prime(p)
-    cut, acc = rank(w) % p, 0
+def splits(w: Word, cut: int, p: int) -> bool:
+    """True iff no 2 of w straddles a cut at rank cut, cut + p, ...: one pointer walks the cuts."""
+    acc = 0
     for x in w:
         if acc == cut:
             cut += p
@@ -78,6 +75,16 @@ def is_coprime_structural(w: Word, p: int) -> bool:
         if acc > cut:  # a 2 straddles the cut
             return False
     return True
+
+
+def is_coprime_structural(w: Word, p: int) -> bool:
+    """Coprimality read off the digits, no arithmetic on chain counts.
+
+    Every cut at rank n mod p, n mod p + p, ..., n must land on a digit
+    boundary: only the prefix before the first cut has rank below p.
+    """
+    check_prime(p)
+    return splits(w, rank(w) % p, p)
 
 
 # coprime_count's row sizes and result are ints of about 0.7*n bits, built in

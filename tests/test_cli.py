@@ -1,9 +1,10 @@
 import json
 import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from yflattice import build_tree, cli, enumerate_rank, fstat, residues, word_text
+from yflattice import build_tree, cli, coprime_count, enumerate_rank, fstat, is_coprime_structural, residues, word_text
 
 
 def test_enumerate_table(run):
@@ -194,37 +195,108 @@ def test_verify_coprime_csv_columns(run):
 
 
 def test_verify_coprime_walks_each_row_once(run, monkeypatch):
-    calls = {"structural": 0, "rows": []}
-    structural, enumerate_rank = cli.is_coprime_structural, fstat.enumerate_rank
+    calls = {"structural": 0, "splits": 0, "rows": []}
+    structural, splits, enumerate_rank = cli.is_coprime_structural, cli.splits, fstat.enumerate_rank
 
     def counted_structural(w, p):
         calls["structural"] += 1
         return structural(w, p)
+
+    def counted_splits(w, cut, p):
+        calls["splits"] += 1
+        return splits(w, cut, p)
 
     def counted_rows(n):
         calls["rows"].append(n)
         return enumerate_rank(n)
 
     monkeypatch.setattr(cli, "is_coprime_structural", counted_structural)
+    monkeypatch.setattr(cli, "splits", counted_splits)
     monkeypatch.setattr(fstat, "enumerate_rank", counted_rows)  # the block walk's row source
     code, _, _ = run("verify", "coprime", "-p", "3", "--max-n", "10")
     assert code == 0
-    assert calls["structural"] == 232  # the words of rows 0..10: F(13) - 1
+    # Row n (h = n // 2) reads its tails, rows h and h - 1: F(h + 1) words,
+    # 1 + 1 + 2 + 2 + 3 + 3 + 5 + 5 + 8 + 8 + 13 over rows 0..10.
+    assert calls["structural"] == 51
+    # and checks each head once, rows n - h and n - h - 1: F(n - h + 1) blocks,
+    # 1 + 2 + 2 + 3 + 3 + 5 + 5 + 8 + 8 + 13 + 13; the rows hold F(13) - 1 = 232 words.
+    assert calls["splits"] == 63
     assert calls["rows"] == list(range(11))
 
 
+def _change_blocks(f_blocks, where, change):
+    """f_blocks with the last tail of row n // 2 (its f) or the middle block (its g) passed through change."""
+    def changed(n):
+        tails, fs, blocks = f_blocks(n)
+        if where == "tail":
+            return tails, (fs[0][:-1] + [change(fs[0][-1])], fs[1]), blocks
+        i = len(blocks) // 2
+        head, g, t = blocks[i]
+        return tails, fs, blocks[:i] + [(head, change(g), t)] + blocks[i + 1 :]
+
+    return changed
+
+
+@pytest.mark.parametrize(
+    "where, change",
+    [(None, None), ("tail", lambda f: f * 30030), ("tail", lambda f: 1), ("head", lambda g: g * 30030), ("head", lambda g: 1)],
+    ids=["as-is", "tail-times-30030", "tail-one", "head-times-30030", "head-one"],
+)
+def test_verify_coprime_equals_the_per_word_reference(run, monkeypatch, where, change):
+    # The block route's records against a reference made word by word from
+    # f_row and is_coprime_structural.  Changing one f or one g (30030 is
+    # 2*3*5*7*11*13) makes words whose two verdicts differ, so
+    # predicates_agree must turn false in exactly the rows that hold one.
+    if where:
+        changed = _change_blocks(fstat.f_blocks, where, change)
+        monkeypatch.setattr(fstat, "f_blocks", changed)  # the row source of f_row
+        monkeypatch.setattr(cli, "f_blocks", changed)
+    primes = (2, 3, 5, 7, 11, 13)
+    expected = []  # (p, n, count, closed_form_count, agree, predicates_agree)
+    for p in primes:
+        for n in range(15):
+            verdicts = [(f % p != 0, is_coprime_structural(w, p)) for w, f in fstat.f_row(n)]
+            count, closed = sum(direct for direct, _ in verdicts), coprime_count(p, n)
+            expected.append((p, n, count, closed, count == closed, all(direct == split for direct, split in verdicts)))
+    code, out, _ = run("verify", "coprime", *[arg for p in primes for arg in ("-p", str(p))], "--max-n", "14", "--format", "json")
+    keys = ("p", "n", "count", "closed_form_count", "agree", "predicates_agree")
+    assert [tuple(r[key] for key in keys) for r in json.loads(out)["records"]] == expected
+    assert code == (0 if where is None else 1)
+    assert any(not row[-1] for row in expected) == (where is not None)
+
+
 def test_row_suites_report_a_disagreeing_route(run, monkeypatch):
-    structural, f_recursive = cli.is_coprime_structural, cli.f_recursive
-    wrong = (1, 2, 1, 2)  # one word of rank 6, deep inside the row
-    monkeypatch.setattr(cli, "is_coprime_structural", lambda w, p: structural(w, p) ^ (w == wrong))
-    monkeypatch.setattr(cli, "f_recursive", lambda w: f_recursive(w) + (w == wrong))
-    for suite, column, primes in (("coprime", "predicates_agree", ["-p", "3"]), ("oracle", "ok", [])):
-        code, out, err = run("verify", suite, *primes, "--max-n", "7", "--format", "json")
-        assert code == 1 and err == f"FAIL: suite {suite}\n"
+    structural, splits, f_recursive = cli.is_coprime_structural, cli.splits, cli.f_recursive
+    # coprime reads each tail through is_coprime_structural and each head
+    # through splits: one wrong verdict on (1, 2) fails exactly the rows that
+    # read it, as a tail (rows 6 and 7) or as a head (row 1 + (2,) in rows 3
+    # and 4, row 3 itself in rows 5 and 6)
+    wrong = (1, 2)
+
+    def read(n, kind):
+        tails, _, blocks = fstat.f_blocks(n)
+        return {head for head, _, _ in blocks} if kind == "head" else {w for _, _, t in blocks for w in tails[t]}
+
+    for name, route, kind, rows in (
+        ("is_coprime_structural", lambda w, p: structural(w, p) ^ (w == wrong), "tail", [6, 7]),
+        ("splits", lambda w, cut, p: splits(w, cut, p) ^ (w == wrong), "head", [3, 4, 5, 6]),
+    ):
+        assert [n for n in range(8) if wrong in read(n, kind)] == rows
+        monkeypatch.setattr(cli, name, route)
+        code, out, err = run("verify", "coprime", "-p", "3", "--max-n", "7", "--format", "json")
+        assert code == 1 and err == "FAIL: suite coprime\n"
         records = json.loads(out)["records"]
-        assert [r["n"] for r in records if not r[column]] == [6]
-        if suite == "oracle":  # every word is walked, past the disagreement too
-            assert [r["words"] for r in records] == [1, 1, 2, 3, 5, 8, 13, 21]
+        assert [r["n"] for r in records if not r["predicates_agree"]] == rows
+        assert all(r["agree"] for r in records)  # the direct route is untouched
+        monkeypatch.undo()
+    wrong = (1, 2, 1, 2)  # one word of rank 6, deep inside the row
+    monkeypatch.setattr(cli, "f_recursive", lambda w: f_recursive(w) + (w == wrong))
+    code, out, err = run("verify", "oracle", "--max-n", "7", "--format", "json")
+    assert code == 1 and err == "FAIL: suite oracle\n"
+    records = json.loads(out)["records"]
+    assert [r["n"] for r in records if not r["ok"]] == [6]
+    # every word is walked, past the disagreement too
+    assert [r["words"] for r in records] == [1, 1, 2, 3, 5, 8, 13, 21]
 
 
 def test_verify_oracle(run):
@@ -253,7 +325,7 @@ def test_verify_coprime_word_guard_boundary(run, monkeypatch):
     def reached(n):
         raise ValueError(f"reached row {n}")
 
-    monkeypatch.setattr(cli, "f_row", reached)
+    monkeypatch.setattr(cli, "f_blocks", reached)  # the row source of verify coprime
     for count, verdict in ((5, "reached row 0"), (6, "6 primes over rows 0..24 walk 1178502 words, over the guard of 1048576")):
         primes_argv = [arg for p in (2, 3, 5, 7, 11, 13)[:count] for arg in ("-p", str(p))]
         code, out, err = run("verify", "coprime", *primes_argv, "--max-n", "24")

@@ -6,6 +6,7 @@ import pytest
 from yflattice import (
     coprime_count,
     enumerate_rank,
+    f_blocks,
     f_product,
     f_row,
     is_coprime_direct,
@@ -52,6 +53,17 @@ def test_structural_equals_direct(w, p):
 @given(st.lists(st.sampled_from([1, 2]), max_size=60).map(tuple), st.sampled_from([2, 3, 5, 7, 11, 13, 31, 61]))
 def test_structural_pointer_walk_equals_direct_on_long_words(w, p):
     assert is_coprime_structural(w, p) == is_coprime_direct(w, p)
+
+
+@given(st.sampled_from([p for p in range(32) if is_prime(p)]), st.integers(0, 18))
+def test_structural_factors_at_the_seam(p, n):
+    # the seam rule verify coprime reads rows by: a word head + tail of row n
+    # splits iff the head splits from cut n mod p and the tail splits on its own
+    tails, _, blocks = f_blocks(n)
+    for head, _, t in blocks:
+        head_splits = primes.splits(head, n % p, p)
+        for tail in tails[t]:
+            assert is_coprime_structural(head + tail, p) == (head_splits and is_coprime_structural(tail, p))
 
 
 def test_each_prime_is_tested_once_per_scan(monkeypatch):
