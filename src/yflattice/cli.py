@@ -10,7 +10,7 @@ import sys
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .core import EMPTY_TOKEN, ROW_MAX_RANK, Word, check_rank, row_size, word_text
+from .core import EMPTY_TOKEN, ROW_MAX_RANK, check_rank, row_size, word_text
 from .fstat import f_blocks, f_recursive, f_row
 from .macdonald import f_valued_rows, tree_rows
 from .primes import check_prime, coprime_count, is_coprime_structural, residue_distribution_mod_p, splits
@@ -137,15 +137,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-Rows = Iterable[list[tuple[Word, int]]]
+Rows = Iterable[list[tuple[str, int]]]
 
 
 def _tree_dot(rows: Rows, f_valued: bool) -> Iterator[str]:
-    """DOT lines: the nodes row by row, then the edges row by row."""
+    """DOT lines of the text rows: the nodes row by row, then the edges row by row."""
     names: list[list[str]] = []
     yield "graph macdonald_tree {\n"
     for row in rows:
-        texts = [word_text(w) for w, _ in row]
+        texts = [w or EMPTY_TOKEN for w, _ in row]
         names.append(texts)
         if f_valued:
             yield from (f'  "{t}" [label="{t} : {f}"];\n' for t, (_, f) in zip(texts, row))
@@ -158,38 +158,41 @@ def _tree_dot(rows: Rows, f_valued: bool) -> Iterator[str]:
 
 
 def _tree_json(rows: Rows, max_rank: int) -> Iterator[str]:
-    """The nested tree exactly as json.dumps(..., indent=2) lays it out.
+    """The nested tree of the text rows exactly as json.dumps(..., indent=2) lays it out.
 
     Depth-first with an explicit stack of ranks to open and text to write.
     Preorder meets each row's nodes in layout order, so every row is read
-    left to right by its own iterator.  Words and counts are digit strings,
-    so nothing needs escaping.
+    left to right by its own iterator.  A node's text around its word and
+    count, and its rank's separator and closer, are made once per rank.
+    Words and counts are digit strings, so nothing needs escaping.
     """
-    nodes = [zip([word_text(w, empty="") for w, _ in row], [str(f) for _, f in row]) for row in rows]
+    nodes, heads, mids, tails, seps, closers = [], [], [], [], [], []
+    for r, row in enumerate(rows):
+        nodes.append(iter(row))
+        pad = "    " * (r + 1)  # the node's keys; its braces sit two spaces left
+        heads.append(f'{{\n{pad}"word": "')
+        mids.append(f'",\n{pad}"f": "')
+        tails.append(f'",\n{pad}"children": ' + (f"[]\n{pad[2:]}}}" if r == max_rank else f"[\n{pad}  "))
+        seps.append(f",\n{pad}  ")
+        closers.append(f"\n{pad}]\n{pad[2:]}}}")
     yield f'{{\n  "max_rank": {max_rank},\n  "root": '
     stack: list[int | str] = [0]
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            yield item
+        r = stack.pop()
+        if type(r) is str:
+            yield r
             continue
-        r = item
         word, f = next(nodes[r])
-        pad = "    " * (r + 1)  # the node's keys; its braces sit two spaces left
-        head = f'{{\n{pad}"word": "{word}",\n{pad}"f": "{f}",\n{pad}"children": '
-        if r == max_rank:
-            yield f"{head}[]\n{pad[2:]}}}"
-            continue
-        inner = f"\n{pad}  "
-        yield f"{head}[{inner}"
-        stack += [f"\n{pad}]\n{pad[2:]}}}", r + 1]
-        if r % 2:  # two children below an odd rank
-            stack += [f",{inner}", r + 1]
+        yield f"{heads[r]}{word}{mids[r]}{f}{tails[r]}"
+        if r < max_rank:
+            stack += [closers[r], r + 1]
+            if r % 2:  # two children below an odd rank
+                stack += [seps[r], r + 1]
     yield "\n}\n"
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
-    rows = tree_rows(args.max_rank)  # the rank guard runs here, before any output
+    rows = tree_rows(args.max_rank, root="")  # digit strings; the rank guard runs here, before any output
     if args.format == "json":
         _write(_tree_json(rows, args.max_rank), args.out)
     else:

@@ -27,7 +27,8 @@ SUBSET_MAX_RANK = 40
 # 0.08-0.09 s, residues -p 13 0.07 s, and verify oracle 0.9 s (72 MiB).
 ROW_MAX_RANK = 24
 # The tree guard bounds output and time: about 3 * 2^(n//2) nodes, and rank 30
-# writes 70 MB of JSON in 0.3 s (42 MiB peak) or 11 MB of DOT in 0.22 s.
+# writes 70 MB of JSON in 0.25 s (30 MiB peak) or 11 MB of DOT in 0.17 s
+# (27 MiB; 2-core x86-64 VM).
 TREE_MAX_RANK = 30
 # A histogram mod 2^k holds 2^(k-1) buckets: residues -n 10 -k 20 peaks at
 # 102 MiB as a table, CSV or JSON, and verify one-step -k 20 --max-n 2, the

@@ -97,8 +97,9 @@ def coprime_count(p: int, n: int) -> int:
     """Number of rank-n words whose chain count is coprime to p, in closed form.
 
     |row p|^m * |row r| with n = p*m + r, from the row sizes alone, up to
-    rank COUNT_MAX_RANK; counting f % p != 0 over the block walk of row n
-    (fstat.f_row) is its check.
+    rank COUNT_MAX_RANK; its check is verify coprime's count of f % p != 0
+    over row n by blocks (cli._suite_coprime: each tail's f % p, each
+    head's g % p).
     """
     check_prime(p)
     check_rank(n, COUNT_MAX_RANK)

@@ -134,6 +134,12 @@ def test_tree_rows_are_the_build_tree_rows(max_rank):
     assert all(node.children == [] for node in built[-1])
 
 
+def test_tree_rows_as_text_are_the_word_rows():
+    # one branching rule: the digit-string walk is the word walk through word_text(w, "")
+    for n in range(23):
+        assert list(tree_rows(n, root="")) == [[(word_text(w, ""), f) for w, f in row] for row in tree_rows(n)]
+
+
 def test_f_valued_row_known():
     assert f_valued_row(0) == Counter({1: 1})
     assert f_valued_row(4) == Counter({1: 2, 3: 2})

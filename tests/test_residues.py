@@ -29,6 +29,15 @@ def test_enum_known_histograms():
     assert residue_histogram_enum(0, 2).counts == {1: 1, 3: 0}
 
 
+@given(st.integers(min_value=0, max_value=16), st.integers(min_value=1, max_value=6))
+def test_enum_is_the_tally_of_every_subset_product(n, k):
+    # the definition, one product per subset of the row's factors, reduced mod 2^k
+    m = 1 << k
+    factors = residues._row_factors(n)
+    tally = Counter(prod(s) % m for size in range(len(factors) + 1) for s in combinations(factors, size))
+    assert residue_histogram_enum(n, k) == ResidueHistogram(m, {r: tally[r] for r in range(1, m, 2)})
+
+
 def test_dp_known_histograms():
     assert residue_histogram_dp(6, 3).counts == {1: 2, 3: 2, 5: 2, 7: 2}
     assert residue_histogram_dp(4, 2).counts == {1: 2, 3: 2}
