@@ -5,74 +5,11 @@ binary tree of odd words, and residue statistics of chain counts modulo
 prime powers.  Everything is computed in exact integer arithmetic.
 """
 
-from .core import (
-    EMPTY_WORD,
-    Word,
-    covers_down,
-    covers_up,
-    enumerate_rank,
-    parse_word,
-    rank,
-    word_text,
-)
-from .fstat import f_blocks, f_mod, f_product, f_recursive, f_row
-from .macdonald import (
-    MacdonaldNode,
-    MacdonaldTree,
-    build_tree,
-    f_valued_row,
-    is_odd_word,
-    macdonald_children,
-    tree_rows,
-)
-from .primes import (
-    coprime_count,
-    is_coprime_direct,
-    is_coprime_structural,
-    is_prime,
-    residue_distribution_mod_p,
-)
-from .residues import (
-    ResidueHistogram,
-    is_equidistributed,
-    pi_multiset,
-    residue_histogram_dp,
-    residue_histogram_enum,
-    verify_main_theorem,
-    verify_one_step,
-)
+from . import core, fstat, macdonald, primes, residues
+from .core import *
+from .fstat import *
+from .macdonald import *
+from .primes import *
+from .residues import *
 
-__all__ = [
-    "EMPTY_WORD",
-    "Word",
-    "covers_down",
-    "covers_up",
-    "enumerate_rank",
-    "parse_word",
-    "rank",
-    "word_text",
-    "f_blocks",
-    "f_mod",
-    "f_product",
-    "f_recursive",
-    "f_row",
-    "MacdonaldNode",
-    "MacdonaldTree",
-    "build_tree",
-    "f_valued_row",
-    "is_odd_word",
-    "macdonald_children",
-    "tree_rows",
-    "coprime_count",
-    "is_coprime_direct",
-    "is_coprime_structural",
-    "is_prime",
-    "residue_distribution_mod_p",
-    "ResidueHistogram",
-    "is_equidistributed",
-    "pi_multiset",
-    "residue_histogram_dp",
-    "residue_histogram_enum",
-    "verify_main_theorem",
-    "verify_one_step",
-]
+__all__ = core.__all__ + fstat.__all__ + macdonald.__all__ + primes.__all__ + residues.__all__

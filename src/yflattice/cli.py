@@ -14,15 +14,7 @@ from .core import EMPTY_TOKEN, ROW_MAX_RANK, check_rank, row_size, word_text
 from .fstat import f_blocks, f_recursive, f_row
 from .macdonald import f_valued_rows, tree_rows
 from .primes import check_prime, coprime_count, is_coprime_structural, residue_distribution_mod_p, splits
-from .residues import (
-    ResidueHistogram,
-    is_equidistributed,
-    pi_rows,
-    residue_histogram_dp,
-    residue_histogram_enum,
-    verify_main_theorem,
-    verify_one_step,
-)
+from .residues import is_equidistributed, pi_rows, residue_histogram_dp, residue_histogram_enum, verify_main_theorem, verify_one_step
 
 
 def _batches(chunks: Iterable[str]) -> Iterator[str]:
@@ -217,9 +209,11 @@ def _suite_pi_row(args: argparse.Namespace) -> list[dict[str, Any]]:
     return records
 
 
-# verify coprime is priced at F(max_n + 3) - 1 words per prime, the words of
-# rows 0..max_n it reads by blocks: at --max-n 24 the default four primes are
-# 785668 words, 0.08-0.09 s (2-core x86-64 VM), and 6 or more are refused.
+# verify coprime is priced at F(max_n + 3) - 1 words per distinct prime, the
+# words of rows 0..max_n, though it reads only the O(F(n/2)) heads and tails of
+# each row, so the price over-charges it: at --max-n 24 the default four primes
+# are 785668 words, 0.08-0.09 s (2-core x86-64 VM), and 6 or more distinct
+# primes are refused.
 COPRIME_MAX_WORDS = 1 << 20
 
 
@@ -232,7 +226,7 @@ def _suite_coprime(args: argparse.Namespace) -> list[dict[str, Any]]:
     per word.  --max-n 24: 0.08-0.09 s, against 0.8 s by words (2-core x86-64 VM).
     """
     check_rank(args.max_n, ROW_MAX_RANK)
-    primes = args.prime or [2, 3, 5, 7]
+    primes = list(dict.fromkeys(args.prime or [2, 3, 5, 7]))  # a repeated prime counts once, first seen first
     if (words := len(primes) * (row_size(args.max_n + 2) - 1)) > COPRIME_MAX_WORDS:
         raise ValueError(f"{len(primes)} primes over rows 0..{args.max_n} walk {words} words, over the guard of {COPRIME_MAX_WORDS}")
     for p in primes:
@@ -305,7 +299,7 @@ def cmd_residues(args: argparse.Namespace) -> int:
         h = compute(args.rank, args.modulus_pow)
     else:
         method = None
-        h = ResidueHistogram(args.prime, residue_distribution_mod_p(args.rank, args.prime))
+        h = residue_distribution_mod_p(args.rank, args.prime)
     flat = is_equidistributed(h)
     verdict = f"verdict: {'flat' if flat else 'not-flat'}\n"
     if args.format == "json":

@@ -10,16 +10,21 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator
 
+__all__ = ["EMPTY_WORD", "Word", "covers_down", "covers_up", "enumerate_rank", "parse_word", "rank", "word_text"]
+
 Word = tuple[int, ...]
 
 EMPTY_WORD: Word = ()
 
-# Empty-word token used on the command line and in DOT output, where a
-# genuinely empty string is awkward.  JSON output uses "" instead.
+# Empty-word token that parse_word reads and that tables, CSV and DOT print,
+# where a genuinely empty string is awkward.  JSON output uses "" instead.
 EMPTY_TOKEN = "e"
 
-# Rank guards, kept apart because they bound different work: 2^(n//2) subset
-# products over a row of odd words, F(n+1) words walked in a whole row.
+# Rank guards, kept apart because they bound different work.  SUBSET_MAX_RANK
+# bounds the routes over a row of odd words: pi_rows forms its 2^(n//2) subset
+# products, but residue_histogram_enum folds at most 2^(k-1) residues per
+# factor and f_valued_rows folds distinct values, so for those two it is an
+# edge kept, not a price.  ROW_MAX_RANK bounds the F(n+1) words of a whole row.
 SUBSET_MAX_RANK = 40
 # A row is made as it is read, so the row guard bounds time and output, not
 # memory.  At rank 24, by the block walk (2-core x86-64 VM, 15 MiB peaks):

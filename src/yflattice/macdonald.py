@@ -16,6 +16,11 @@ from typing import Iterator, NamedTuple
 from .core import EMPTY_WORD, SUBSET_MAX_RANK, TREE_MAX_RANK, Word, check_rank, rank, word_text
 from .primes import is_coprime_structural
 
+# MacdonaldNode, MacdonaldTree, build_tree and f_valued_row are left out and
+# no CLI route calls them: they stay only because perfbench/tracer.py wraps
+# build_tree, MacdonaldTree.rows and f_valued_row by module path.
+__all__ = ["f_valued_rows", "is_odd_word", "macdonald_children", "tree_rows"]
+
 Label = Word | str  # a word, or its digit string
 
 

@@ -18,6 +18,11 @@ from functools import lru_cache
 
 from .core import MODULUS_MAX_POW, Word, check_rank, rank, row_size
 from .fstat import f_blocks, f_mod
+from .residues import ResidueHistogram
+
+# is_coprime_direct is left out and no CLI route calls it: it stays only
+# because perfbench/tracer.py wraps it by module path.
+__all__ = ["coprime_count", "is_coprime_structural", "is_prime", "residue_distribution_mod_p"]
 
 # Miller-Rabin with these witnesses is deterministic below _WITNESS_BOUND =
 # 399165290221 * 798330580441, the smallest strong pseudoprime to all twelve
@@ -108,8 +113,8 @@ def coprime_count(p: int, n: int) -> int:
     return row_size(p) ** m * row_size(r) if m else row_size(r)
 
 
-def residue_distribution_mod_p(n: int, p: int) -> dict[int, int]:
-    """Counts of nonzero chain-count residues mod an odd prime over rank n.
+def residue_distribution_mod_p(n: int, p: int) -> ResidueHistogram:
+    """Histogram of the nonzero chain-count residues mod an odd prime over rank n.
 
     Counts only: unlike the power-of-two case these need not flatten out.
     The CLI's verdict on them is is_equidistributed over the p - 1 nonzero
@@ -122,4 +127,4 @@ def residue_distribution_mod_p(n: int, p: int) -> dict[int, int]:
         raise ValueError(f"modulus {p} needs {p - 1} buckets, over the guard of {buckets}")
     _, fs, blocks = f_blocks(n)
     tally = Counter(g * f % p for _, g, t in blocks for f in fs[t])
-    return {r: tally[r] for r in range(1, p)}
+    return ResidueHistogram(p, {r: tally[r] for r in range(1, p)})

@@ -33,6 +33,18 @@ from typing import Any, Iterator, NamedTuple
 
 from .core import MODULUS_MAX_POW, SUBSET_MAX_RANK, check_rank
 
+# pi_multiset is left out and no CLI route calls it: it stays only because
+# perfbench/tracer.py wraps it by module path.
+__all__ = [
+    "ResidueHistogram",
+    "is_equidistributed",
+    "pi_rows",
+    "residue_histogram_dp",
+    "residue_histogram_enum",
+    "verify_main_theorem",
+    "verify_one_step",
+]
+
 
 def _row_factors(n: int) -> range:
     """The odd factors available in row n: 1, 3, ..., 2*(n//2) - 1."""

@@ -4,7 +4,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yflattice import build_tree, cli, coprime_count, enumerate_rank, fstat, is_coprime_structural, residues, word_text
+from yflattice import cli, coprime_count, enumerate_rank, fstat, is_coprime_structural, residues, word_text
+from yflattice.macdonald import build_tree
 
 
 def test_enumerate_table(run):

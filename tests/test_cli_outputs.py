@@ -79,6 +79,8 @@ CASES = [
     ("verify coprime --max-n 6 -p 3 --format csv", 0, "3c24d6ea603d3a556ff679409f962156ec38e0343f655f3fb8ff71f50ba00d92"),
     ("verify coprime --max-n 6 -p 3 --format json", 0, "e94bb751e58f7e1b2a63d77b6ae5e12d2f95160382e1dbf181c0ac8b9c8cad09"),
     ("verify coprime --max-n 5 --format jsonl", 0, "75d0a5d3b36001ce8b81a754946a0f7dcc51e460e869fb1a14296fdef2e4c566"),
+    # a repeated prime counts once: the digest of -p 3 --max-n 2
+    ("verify coprime -p 3 -p 3 --max-n 2", 0, "4b1303da36507528d119e5532e563572cea2eee3dc04df12c9af9ba79a6d0517"),
     ("verify oracle --max-n 6 --format csv", 0, "5bc5caff484beada141bfc13dfa54693c8b2157825e38fb90e48c0103abacfe1"),
     ("verify oracle --max-n 6 --format json", 0, "e92b1f18fd03e8b9fd25048017d24c03a690874ad732580b0020dadf98c934a2"),
     ("verify oracle --max-n 6 --format jsonl", 0, "adee7bcb4c7e1621aa928989061a502051e5b1ca79dd2a3660bd3f5f1fc91903"),
@@ -94,6 +96,8 @@ CASES = [
     ("enumerate -n 24 --format json", 0, "3947b5cc8924988b7a9b0cd44906945d8cba2679d58f90d0a229e0ae76f25d7e"),
     ("enumerate -n 24 --format jsonl", 0, "baf5e2f040e5878d85bf35de1da49c56375e55ffb9371a66acf6ab413cb68f3c"),
     ("verify coprime --max-n 24 --format json", 0, "7f4d3d4936a529977ced250fb87f875e1fd0291b6e6629e448979ea4ee9197fc"),
+    # one prime asked six times is priced once, under the guard: the digest of -p 3 --max-n 24
+    ("verify coprime -p 3 -p 3 -p 3 -p 3 -p 3 -p 3 --max-n 24", 0, "7062fb62923182f00dd9248e4b55febf55f2c9ee56cfa92e64c19f0922f70a37"),
     ("residues -n 24 -p 13", 0, "3ac0f2aa21f47ea40cae7d0c991e30e675ffdb0eb5bc0db1df7111457131f1fc"),
     ("enumerate -n 24 --filter coprime -p 7 --format csv", 0, "6f2420930390944e4d14177520fcb02340ef4b2d130a4951155c14ca0433bbea"),
     ("verify main -k 14 --n-extra 2 --format json", 0, "853fd9c3e2c0a7b16342300c4680b491ece8813bbe421eae1c719a5e6065ed60"),

@@ -1,7 +1,8 @@
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from yflattice import covers_down, enumerate_rank, f_blocks, f_mod, f_product, f_recursive, f_row, parse_word, rank, word_text
+from yflattice import covers_down, enumerate_rank, f_blocks, f_product, f_recursive, f_row, parse_word, rank, word_text
+from yflattice.fstat import f_mod
 
 words = st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple)
 

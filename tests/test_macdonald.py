@@ -5,18 +5,17 @@ import pytest
 
 from yflattice import macdonald, residues
 from yflattice import (
-    build_tree,
     covers_up,
     enumerate_rank,
     f_product,
     f_recursive,
-    f_valued_row,
     is_odd_word,
     macdonald_children,
     rank,
     tree_rows,
     word_text,
 )
+from yflattice.macdonald import build_tree, f_valued_row
 
 words = st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple)
 

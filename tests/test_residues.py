@@ -11,16 +11,16 @@ from yflattice import residues
 from yflattice import (
     ResidueHistogram,
     enumerate_rank,
-    f_mod,
-    f_valued_row,
     is_equidistributed,
     is_odd_word,
-    pi_multiset,
     residue_histogram_dp,
     residue_histogram_enum,
     verify_main_theorem,
     verify_one_step,
 )
+from yflattice.fstat import f_mod
+from yflattice.macdonald import f_valued_row
+from yflattice.residues import pi_multiset
 
 
 def test_enum_known_histograms():
