@@ -108,16 +108,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     modulus = {"odd": 2, "coprime": args.prime}.get(args.filter)
     n = str(args.rank)
     empty = "" if args.format in ("json", "jsonl") else EMPTY_TOKEN
-    texts = [[word_text(w, "") for w in row] for row in tails]
 
     def records() -> Iterator[tuple[str, str, str, str]]:
-        """(word, rank, f, odd) as text per kept word: the head's text and its tails row's."""
+        """(word, rank, f, odd) as text per kept word, each word a head joined to one of its tails."""
         for head, g, t in blocks:
-            lead = word_text(head, "")
-            for tail, f in zip(texts[t], fs[t]):
+            for tail, f in zip(tails[t], fs[t]):
                 f *= g
                 if modulus is None or f % modulus:
-                    yield lead + tail or empty, n, str(f), "true" if f & 1 else "false"
+                    yield word_text(head + tail, empty), n, str(f), "true" if f & 1 else "false"
 
     if args.format == "json":
         chunks = _enumerate_json(records())
@@ -133,11 +131,11 @@ Rows = Iterable[list[tuple[str, int]]]
 
 
 def _tree_dot(rows: Rows, f_valued: bool) -> Iterator[str]:
-    """DOT lines of the text rows: the nodes row by row, then the edges row by row."""
+    """DOT lines of the tree rows: the nodes row by row, then the edges row by row."""
     names: list[list[str]] = []
     yield "graph macdonald_tree {\n"
     for row in rows:
-        texts = [w or EMPTY_TOKEN for w, _ in row]
+        texts = [word_text(w) for w, _ in row]
         names.append(texts)
         if f_valued:
             yield from (f'  "{t}" [label="{t} : {f}"];\n' for t, (_, f) in zip(texts, row))
@@ -150,7 +148,7 @@ def _tree_dot(rows: Rows, f_valued: bool) -> Iterator[str]:
 
 
 def _tree_json(rows: Rows, max_rank: int) -> Iterator[str]:
-    """The nested tree of the text rows exactly as json.dumps(..., indent=2) lays it out.
+    """The nested tree of the rows exactly as json.dumps(..., indent=2) lays it out.
 
     Depth-first with an explicit stack of ranks to open and text to write.
     Preorder meets each row's nodes in layout order, so every row is read
@@ -184,7 +182,7 @@ def _tree_json(rows: Rows, max_rank: int) -> Iterator[str]:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
-    rows = tree_rows(args.max_rank, root="")  # digit strings; the rank guard runs here, before any output
+    rows = tree_rows(args.max_rank)  # the rank guard runs here, before any output
     if args.format == "json":
         _write(_tree_json(rows, args.max_rank), args.out)
     else:

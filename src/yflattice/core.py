@@ -1,8 +1,9 @@
 """Word model for the Young-Fibonacci lattice.
 
-Elements are finite words over the digit alphabet {1, 2}, graded by digit
-sum.  Going down one rank, either a 2 with no 1 anywhere to its left turns
-into a 1, or the leftmost 1 is deleted; going up is the exact inverse.
+Elements are finite words over the digit alphabet {1, 2}, each held as its
+digit string ("2211", the empty word ""), graded by digit sum.  Going down
+one rank, either a 2 with no 1 anywhere to its left turns into a 1, or the
+leftmost 1 is deleted; going up is the exact inverse.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from typing import Iterator
 
 __all__ = ["EMPTY_WORD", "Word", "covers_down", "covers_up", "enumerate_rank", "parse_word", "rank", "word_text"]
 
-Word = tuple[int, ...]
+Word = str  # the digit string itself, as the paper writes it: "2211"
 
-EMPTY_WORD: Word = ()
+EMPTY_WORD: Word = ""
 
 # Empty-word token that parse_word reads and that tables, CSV and DOT print,
 # where a genuinely empty string is awkward.  JSON output uses "" instead.
@@ -29,7 +30,7 @@ SUBSET_MAX_RANK = 40
 # A row is made as it is read, so the row guard bounds time and output, not
 # memory.  At rank 24, by the block walk (2-core x86-64 VM, 15 MiB peaks):
 # enumerate writes its 75025 words in 0.1-0.25 s, verify coprime takes
-# 0.08-0.09 s, residues -p 13 0.07 s, and verify oracle 0.9 s (72 MiB).
+# 0.08-0.09 s, residues -p 13 0.07 s, and verify oracle 0.7-0.9 s (44 MiB).
 ROW_MAX_RANK = 24
 # The tree guard bounds output and time: about 3 * 2^(n//2) nodes, and rank 30
 # writes 70 MB of JSON in 0.25 s (30 MiB peak) or 11 MB of DOT in 0.17 s
@@ -51,41 +52,31 @@ def check_rank(n: int, limit: int | None = None) -> None:
 
 
 def parse_word(text: str) -> Word:
-    """Parse a digit string such as "211" into a word.
+    """Check a digit string such as "211" and return it: it is the word.
 
     The token "e" (and the empty string) denotes the empty word.  Any
     character other than '1' or '2' is rejected with its 1-based position.
     """
-    if text == EMPTY_TOKEN or text == "":
+    if text == EMPTY_TOKEN:
         return EMPTY_WORD
     for pos, ch in enumerate(text, start=1):
         if ch not in "12":
             raise ValueError(f"invalid digit {ch!r} at position {pos}: words use only digits 1 and 2")
-    return tuple(int(ch) for ch in text)
-
-
-_DIGITS = bytes.maketrans(b"\1\2", b"12")
+    return text
 
 
 def word_text(w: Word, empty: str = EMPTY_TOKEN) -> str:
-    """Render a word as a digit string; the empty word renders as `empty`.
-
-    The digits go through `bytes` and one translate: 0.28 against 2.5 us
-    for joining str(d) per digit of a 30-digit word (Python 3.11, x86-64).
-    """
-    return bytes(w).translate(_DIGITS).decode() if w else empty
+    """The word as printed: itself, or `empty` for the empty word."""
+    return w or empty
 
 
 def rank(w: Word) -> int:
     """Digit sum of the word; the grading of the lattice."""
-    return sum(w)
+    return len(w) + w.count("2")
 
 
 def _leading_twos(w: Word) -> int:
-    a = 0
-    while a < len(w) and w[a] == 2:
-        a += 1
-    return a
+    return len(w) - len(w.lstrip("2"))
 
 
 def covers_down(w: Word) -> set[Word]:
@@ -96,7 +87,7 @@ def covers_down(w: Word) -> set[Word]:
     The empty word covers nothing.
     """
     a = _leading_twos(w)
-    below = {w[:i] + (1,) + w[i + 1 :] for i in range(a)}
+    below = {w[:i] + "1" + w[i + 1 :] for i in range(a)}
     if a < len(w):
         below.add(w[:a] + w[a + 1 :])
     return below
@@ -110,9 +101,9 @@ def covers_up(w: Word) -> set[Word]:
     when w contains a 1, the leftmost 1 may be raised to a 2.
     """
     a = _leading_twos(w)
-    above = {w[:i] + (1,) + w[i:] for i in range(a + 1)}
+    above = {w[:i] + "1" + w[i:] for i in range(a + 1)}
     if a < len(w):
-        above.add(w[:a] + (2,) + w[a + 1 :])
+        above.add(w[:a] + "2" + w[a + 1 :])
     return above
 
 
@@ -131,7 +122,7 @@ def _rows(n: int) -> tuple[list[Word], list[Word]]:
     for _ in range(n):
         # 1-prefixed extensions of the row sort before 2-prefixed ones of
         # the row below, so lexicographic order is preserved by construction.
-        below, row = row, [(1,) + w for w in row] + [(2,) + w for w in below]
+        below, row = row, ["1" + w for w in row] + ["2" + w for w in below]
     return row, below
 
 
@@ -144,7 +135,7 @@ class Row:
     sorted order, each followed by every tail of its row in order, walks
     the row lexicographically.  Only `tails`, rows h and h - 1, and
     `blocks`, the (head, t) pairs in row order with t indexing `tails`, are
-    kept: O(F(n/2)) words.  Each word read costs one tuple concatenation.
+    kept: O(F(n/2)) words.  Each word read costs one string concatenation.
     """
 
     __slots__ = ("tails", "blocks", "_size")
@@ -153,7 +144,7 @@ class Row:
         h = n // 2
         heads, short_heads = _rows(n - h)
         self.tails = _rows(h)
-        self.blocks = sorted([(w, 0) for w in heads] + [(w + (2,), 1) for w in short_heads])
+        self.blocks = sorted([(w, 0) for w in heads] + [(w + "2", 1) for w in short_heads])
         self._size = row_size(n)
 
     def __len__(self) -> int:

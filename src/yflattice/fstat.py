@@ -15,7 +15,7 @@ per tail, and each word one multiplication.
 f_recursive recurses once per rank through one memo per process, shared by
 every call, so each word's chain count is computed once.  It refuses ranks
 above ROW_MAX_RANK up front, which also bounds the memo: at most the 196417
-words of rank <= 24, 72 MiB at the peak of verify oracle --max-rank 24.
+words of rank <= 24, 44 MiB at the peak of verify oracle --max-rank 24.
 """
 
 from __future__ import annotations
@@ -45,9 +45,11 @@ def _factor(w: Word, suffix: int) -> int:
     """The product over the 2s of w of (digit sum from that 2 on, plus suffix, minus one)."""
     f = 1
     for x in reversed(w):
-        suffix += x
-        if x == 2:
-            f *= suffix - 1
+        if x == "2":
+            f *= suffix + 1  # (suffix + 2) - 1: the digit sum from this 2 on, minus one
+            suffix += 2
+        else:
+            suffix += 1
     return f
 
 

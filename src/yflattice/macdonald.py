@@ -13,7 +13,7 @@ from collections import Counter, deque
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
-from .core import EMPTY_WORD, SUBSET_MAX_RANK, TREE_MAX_RANK, Word, check_rank, rank, word_text
+from .core import EMPTY_WORD, SUBSET_MAX_RANK, TREE_MAX_RANK, Word, check_rank, rank
 from .primes import is_coprime_structural
 
 # MacdonaldNode, MacdonaldTree, build_tree and f_valued_row are left out and
@@ -21,54 +21,43 @@ from .primes import is_coprime_structural
 # build_tree, MacdonaldTree.rows and f_valued_row by module path.
 __all__ = ["f_valued_rows", "is_odd_word", "macdonald_children", "tree_rows"]
 
-Label = Word | str  # a word, or its digit string
-
 
 def is_odd_word(w: Word) -> bool:
     """True iff the chain count of w is odd: the coprime split rule at p = 2."""
     return is_coprime_structural(w, 2)
 
 
-# The prefixes 1 and 2 of the branching rule, by the type of the labels: Words
-# for the library, digit strings for the CLI's text.
-_PREFIXES = {tuple: ((1,), (2,)), str: ("1", "2")}
-
-
-def _branch(row: list[tuple[Label, int]], r: int) -> list[tuple[Label, int]]:
-    """Row r + 1 of the tree from row r, by the branching rule on (label, count) pairs.
+def _branch(row: list[tuple[Word, int]], r: int) -> list[tuple[Word, int]]:
+    """Row r + 1 of the tree from row r, by the branching rule on (word, count) pairs.
 
     Even r: each w has the single child 1w with the same chain count.  Odd
     r: each w = 1v has the children 11v = 1w, keeping the count, and 2v,
     the count times r.  Children follow their parents' order, so node i of
     row r has its children at index i of row r + 1 (even r), or at 2i and
-    2i + 1 (odd r).  The labels are Words or digit strings, as the row's
-    are; f_valued_rows folds the same rule on the counts alone, as verify
-    pi-row's second route.
+    2i + 1 (odd r).  f_valued_rows folds the same rule on the counts alone,
+    as verify pi-row's second route.
     """
-    one, two = _PREFIXES[type(row[0][0])]
     if r % 2 == 0:
-        return [(one + w, f) for w, f in row]
-    return [child for w, f in row for child in ((one + w, f), (two + w[1:], f * r))]
+        return [("1" + w, f) for w, f in row]
+    return [child for w, f in row for child in (("1" + w, f), ("2" + w[1:], f * r))]
 
 
 def macdonald_children(w: Word) -> list[Word]:
     """The odd upper covers of an odd word, in tree order: `_branch` on w alone."""
     if not is_odd_word(w):
-        raise ValueError(f"{word_text(w)} is not an odd word")
+        raise ValueError(f"{w} is not an odd word")  # the empty word is odd
     return [child for child, _ in _branch([(w, 1)], rank(w))]
 
 
-def tree_rows(max_rank: int, root: Label = EMPTY_WORD) -> Iterator[list[tuple[Label, int]]]:
-    """Rows 0..max_rank of the Macdonald tree, as (label, chain count) pairs.
+def tree_rows(max_rank: int) -> Iterator[list[tuple[Word, int]]]:
+    """Rows 0..max_rank of the Macdonald tree, as (word, chain count) pairs.
 
     Row n holds the 2^(n//2) odd words of rank n in layout order (see
     `_branch`); each row is built from the one before, when it is asked
-    for.  The labels take the type of `root`, the empty word: Words by
-    default, digit strings for root "" (word_text(w, "") of each word).
-    The rank guard runs at the call, before the first row.
+    for.  The rank guard runs at the call, before the first row.
     """
     check_rank(max_rank, TREE_MAX_RANK)
-    return accumulate(range(max_rank), _branch, initial=[(root, 1)])
+    return accumulate(range(max_rank), _branch, initial=[(EMPTY_WORD, 1)])
 
 
 class MacdonaldNode(NamedTuple):

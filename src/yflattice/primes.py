@@ -76,9 +76,12 @@ def splits(w: Word, cut: int, p: int) -> bool:
     for x in w:
         if acc == cut:
             cut += p
-        acc += x
-        if acc > cut:  # a 2 straddles the cut
-            return False
+        if x == "2":
+            acc += 2
+            if acc > cut:  # the 2 straddles the cut
+                return False
+        else:
+            acc += 1  # a 1 never straddles a cut
     return True
 
 

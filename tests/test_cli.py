@@ -269,10 +269,10 @@ def test_verify_coprime_equals_the_per_word_reference(run, monkeypatch, where, c
 def test_row_suites_report_a_disagreeing_route(run, monkeypatch):
     structural, splits, f_recursive = cli.is_coprime_structural, cli.splits, cli.f_recursive
     # coprime reads each tail through is_coprime_structural and each head
-    # through splits: one wrong verdict on (1, 2) fails exactly the rows that
-    # read it, as a tail (rows 6 and 7) or as a head (row 1 + (2,) in rows 3
+    # through splits: one wrong verdict on "12" fails exactly the rows that
+    # read it, as a tail (rows 6 and 7) or as a head (row 1 + "2" in rows 3
     # and 4, row 3 itself in rows 5 and 6)
-    wrong = (1, 2)
+    wrong = "12"
 
     def read(n, kind):
         tails, _, blocks = fstat.f_blocks(n)
@@ -290,7 +290,7 @@ def test_row_suites_report_a_disagreeing_route(run, monkeypatch):
         assert [r["n"] for r in records if not r["predicates_agree"]] == rows
         assert all(r["agree"] for r in records)  # the direct route is untouched
         monkeypatch.undo()
-    wrong = (1, 2, 1, 2)  # one word of rank 6, deep inside the row
+    wrong = "1212"  # one word of rank 6, deep inside the row
     monkeypatch.setattr(cli, "f_recursive", lambda w: f_recursive(w) + (w == wrong))
     code, out, err = run("verify", "oracle", "--max-n", "7", "--format", "json")
     assert code == 1 and err == "FAIL: suite oracle\n"

@@ -1,25 +1,27 @@
 import tracemalloc
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from yflattice import (
     covers_down,
     covers_up,
     enumerate_rank,
+    f_product,
+    is_coprime_structural,
     parse_word,
     rank,
     word_text,
 )
 from yflattice.core import ROW_MAX_RANK
 
-words = st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple)
+words = st.text(alphabet="12", max_size=12)
 
 
 def test_parse_word_basic():
-    assert parse_word("2112") == (2, 1, 1, 2)
-    assert parse_word("1") == (1,)
-    assert parse_word("e") == ()
-    assert parse_word("") == ()
+    assert parse_word("2112") == "2112"
+    assert parse_word("1") == "1"
+    assert parse_word("e") == ""
+    assert parse_word("") == ""
 
 
 @given(words)
@@ -28,27 +30,27 @@ def test_parse_round_trip(w):
 
 
 def test_word_text_empty_token():
-    assert word_text(()) == "e"
-    assert word_text((), empty="") == ""
-    assert word_text((1, 2)) == "12"
+    assert word_text("") == "e"
+    assert word_text("", empty="") == ""
+    assert word_text("12") == "12"
 
 
 def test_rank_is_digit_sum():
-    assert rank(()) == 0
-    assert rank((2, 1, 1, 2)) == 6
+    assert rank("") == 0
+    assert rank("2112") == 6
 
 
 def test_covers_down_known():
-    assert covers_down(()) == set()
-    assert covers_down((1,)) == {()}
-    assert covers_down((2, 1)) == {(1, 1), (2,)}
-    assert covers_down((2, 2, 1)) == {(1, 2, 1), (2, 1, 1), (2, 2)}
+    assert covers_down("") == set()
+    assert covers_down("1") == {""}
+    assert covers_down("21") == {"11", "2"}
+    assert covers_down("221") == {"121", "211", "22"}
 
 
 def test_covers_up_known():
-    assert covers_up(()) == {(1,)}
-    assert covers_up((2, 2)) == {(1, 2, 2), (2, 1, 2), (2, 2, 1)}
-    assert covers_up((1,)) == {(2,), (1, 1)}
+    assert covers_up("") == {"1"}
+    assert covers_up("22") == {"122", "212", "221"}
+    assert covers_up("1") == {"2", "11"}
 
 
 @given(words)
@@ -70,12 +72,73 @@ def test_one_more_upper_cover_than_lower(w):
     assert len(covers_up(w)) == len(covers_down(w)) + 1
 
 
+# References on digit tuples, run on tuple(map(int, w)): the word model's
+# formulas read as digit sums, apart from any string method.
+def _tuple_leading_twos(t):
+    a = 0
+    while a < len(t) and t[a] == 2:
+        a += 1
+    return a
+
+
+def _tuple_covers_down(t):
+    a = _tuple_leading_twos(t)
+    below = {t[:i] + (1,) + t[i + 1 :] for i in range(a)}
+    if a < len(t):
+        below.add(t[:a] + t[a + 1 :])
+    return below
+
+
+def _tuple_covers_up(t):
+    a = _tuple_leading_twos(t)
+    above = {t[:i] + (1,) + t[i:] for i in range(a + 1)}
+    if a < len(t):
+        above.add(t[:a] + (2,) + t[a + 1 :])
+    return above
+
+
+def _tuple_f_product(t):
+    f, suffix = 1, 0
+    for x in reversed(t):
+        suffix += x
+        if x == 2:
+            f *= suffix - 1
+    return f
+
+
+def _tuple_coprime(t, p):
+    acc, cut = 0, sum(t) % p
+    for x in t:
+        if acc == cut:
+            cut += p
+        acc += x
+        if acc > cut:
+            return False
+    return True
+
+
+def _digits(w):
+    return tuple(map(int, w))
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="12", max_size=30))
+def test_string_words_match_the_tuple_formulas(w):
+    t = _digits(w)
+    assert rank(w) == sum(t)
+    assert set(map(_digits, covers_down(w))) == _tuple_covers_down(t)
+    assert set(map(_digits, covers_up(w))) == _tuple_covers_up(t)
+    assert f_product(w) == _tuple_f_product(t)
+    for p in (2, 3, 5, 7):
+        assert is_coprime_structural(w, p) == _tuple_coprime(t, p), p
+
+
 def _reference_rows(max_rank):
     """Rows 0..max_rank as lists, by the Fibonacci recurrence on whole rows."""
-    below, row = [], [()]
+    below, row = [], [""]
     for _ in range(max_rank + 1):
         yield row
-        below, row = row, [(1,) + w for w in row] + [(2,) + w for w in below]
+        below, row = row, ["1" + w for w in row] + ["2" + w for w in below]
 
 
 def test_enumerate_rank_sizes_are_fibonacci():

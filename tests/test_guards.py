@@ -23,10 +23,10 @@ GUARDED = [
     (core.parse_word, ("203",), "invalid digit '0' at position 2: words use only digits 1 and 2"),
     (core.enumerate_rank, (-1,), NEGATIVE),
     (core.enumerate_rank, (25,), "rank 25 exceeds the guard of 24"),  # 121393 words
-    (fstat.f_recursive, ((2,) * 13,), "rank 26 exceeds the guard of 24"),
-    (fstat.f_recursive, ((1,) * 499,), "rank 499 exceeds the guard of 24"),
-    (fstat.f_mod, ((2, 1), 1), "modulus must be at least 2, got 1"),
-    (fstat.f_mod, ((2, 1), 0), "modulus must be at least 2, got 0"),
+    (fstat.f_recursive, ("2" * 13,), "rank 26 exceeds the guard of 24"),
+    (fstat.f_recursive, ("1" * 499,), "rank 499 exceeds the guard of 24"),
+    (fstat.f_mod, ("21", 1), "modulus must be at least 2, got 1"),
+    (fstat.f_mod, ("21", 0), "modulus must be at least 2, got 0"),
     (fstat.f_row, (25,), "rank 25 exceeds the guard of 24"),
     (fstat.f_blocks, (25,), "rank 25 exceeds the guard of 24"),
     (macdonald.tree_rows, (31,), "rank 31 exceeds the guard of 30"),
@@ -34,7 +34,7 @@ GUARDED = [
     (macdonald.build_tree, (31,), "rank 31 exceeds the guard of 30"),
     (macdonald.build_tree, (41,), "rank 41 exceeds the guard of 30"),
     (macdonald.build_tree, (-1,), NEGATIVE),
-    (macdonald.macdonald_children, ((2, 1),), "21 is not an odd word"),
+    (macdonald.macdonald_children, ("21",), "21 is not an odd word"),
     (macdonald.f_valued_rows, (41,), "rank 41 exceeds the guard of 40"),
     (macdonald.f_valued_row, (41,), "rank 41 exceeds the guard of 40"),
     # histograms mod 2^k: the modulus exponent first, then the rank and the DP's work
@@ -59,9 +59,9 @@ GUARDED = [
     # primes, and the counts over them
     # 399165290221 * 798330580441, a strong pseudoprime to every witness
     (primes.is_prime, (PSP,), f"{PSP} is at or above {PSP}, the bound of the deterministic primality test"),
-    (primes.is_coprime_direct, ((2, 1), 4), "4 is not prime"),
-    (primes.is_coprime_structural, ((2, 1), 4), "4 is not prime"),
-    (primes.is_coprime_structural, ((2, 2), 9), "9 is not prime"),
+    (primes.is_coprime_direct, ("21", 4), "4 is not prime"),
+    (primes.is_coprime_structural, ("21", 4), "4 is not prime"),
+    (primes.is_coprime_structural, ("22", 9), "9 is not prime"),
     (primes.coprime_count, (4, 3), "4 is not prime"),
     (primes.coprime_count, (3, -1), NEGATIVE),
     (primes.coprime_count, (3, (1 << 18) + 1), "rank 262145 exceeds the guard of 262144"),

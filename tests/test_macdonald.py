@@ -17,25 +17,25 @@ from yflattice import (
 )
 from yflattice.macdonald import build_tree, f_valued_row
 
-words = st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple)
+words = st.text(alphabet="12", max_size=12)
 
 
 @st.composite
 def odd_words(draw, max_blocks=7):
     lead = draw(st.booleans())
-    blocks = draw(st.lists(st.sampled_from([(2,), (1, 1)]), max_size=max_blocks))
-    word = (1,) if lead else ()
+    blocks = draw(st.lists(st.sampled_from(["2", "11"]), max_size=max_blocks))
+    word = "1" if lead else ""
     for b in blocks:
         word += b
     return word
 
 
 def test_is_odd_word_known():
-    assert is_odd_word(())
-    assert not is_odd_word((2, 1))
-    assert is_odd_word((2, 1, 1, 2))
-    assert not is_odd_word((1, 2, 1))
-    assert not is_odd_word((2, 1, 1, 2, 1))
+    assert is_odd_word("")
+    assert not is_odd_word("21")
+    assert is_odd_word("2112")
+    assert not is_odd_word("121")
+    assert not is_odd_word("21121")
 
 
 @given(words)
@@ -44,9 +44,9 @@ def test_is_odd_word_matches_parity(w):
 
 
 def test_macdonald_children_known():
-    assert macdonald_children(()) == [(1,)]
-    assert macdonald_children((1, 1)) == [(1, 1, 1)]
-    assert macdonald_children((1, 1, 1)) == [(1, 1, 1, 1), (2, 1, 1)]
+    assert macdonald_children("") == ["1"]
+    assert macdonald_children("11") == ["111"]
+    assert macdonald_children("111") == ["1111", "211"]
 
 
 @given(odd_words())
@@ -121,7 +121,7 @@ def test_build_tree_rows_are_the_odd_rows():
 
 def test_build_tree_trivial():
     tree = build_tree(0)
-    assert tree.root.word == ()
+    assert tree.root.word == ""
     assert tree.root.f == 1
     assert tree.root.children == []
 
@@ -131,12 +131,6 @@ def test_tree_rows_are_the_build_tree_rows(max_rank):
     built = build_tree(max_rank).rows()
     assert list(tree_rows(max_rank)) == [[(node.word, node.f) for node in row] for row in built]
     assert all(node.children == [] for node in built[-1])
-
-
-def test_tree_rows_as_text_are_the_word_rows():
-    # one branching rule: the digit-string walk is the word walk through word_text(w, "")
-    for n in range(23):
-        assert list(tree_rows(n, root="")) == [[(word_text(w, ""), f) for w, f in row] for row in tree_rows(n)]
 
 
 def test_f_valued_row_known():
@@ -186,21 +180,21 @@ def test_self_similarity_holds_at_even_roots():
         for node in tree.rows()[n]:
             w = node.word
             (child,) = node.children
-            assert child.word == (1,) + w and child.f == node.f
+            assert child.word == "1" + w and child.f == node.f
             left, right = child.children
             assert left.f == node.f
             lefts, rights = _levels(left), _levels(right)
             assert len(lefts) == len(rights) == len(ref)
             for ref_row, left_row, right_row in zip(ref, lefts, rights):
-                assert [x.word for x in left_row] == [x.word + (1, 1) + w for x in ref_row]
-                assert [x.word for x in right_row] == [x.word + (2,) + w for x in ref_row]
+                assert [x.word for x in left_row] == [x.word + "11" + w for x in ref_row]
+                assert [x.word for x in right_row] == [x.word + "2" + w for x in ref_row]
                 assert [x.f for x in right_row] == [(n + 1) * x.f for x in left_row]
 
 
 def test_self_similarity_scaled_branch():
     # below the word 2 the right-hand branch runs at three times the left
-    (node,) = [x for x in build_tree(6).rows()[3] if x.word == (1, 2)]
+    (node,) = [x for x in build_tree(6).rows()[3] if x.word == "12"]
     left, right = node.children
-    assert left.word == (1, 1, 2) and right.word == (2, 2)
+    assert left.word == "112" and right.word == "22"
     for left_row, right_row in zip(_levels(left), _levels(right)):
         assert [x.f for x in right_row] == [3 * x.f for x in left_row]

@@ -18,7 +18,7 @@ from yflattice import (
 from yflattice import primes
 from yflattice.primes import is_coprime_direct
 
-words = st.lists(st.sampled_from([1, 2]), max_size=14).map(tuple)
+words = st.text(alphabet="12", max_size=14)
 small_primes = st.sampled_from([2, 3, 5, 7, 11])
 
 
@@ -35,15 +35,15 @@ def test_is_prime_large():
 
 
 def test_is_coprime_direct_known():
-    assert not is_coprime_direct((2, 2), 3)
-    assert is_coprime_direct((2, 1), 3)
-    assert is_coprime_direct((), 7)
+    assert not is_coprime_direct("22", 3)
+    assert is_coprime_direct("21", 3)
+    assert is_coprime_direct("", 7)
 
 
 def test_is_coprime_structural_known():
-    assert is_coprime_structural((1, 2, 1), 3)
-    assert not is_coprime_structural((2, 1, 1), 3)
-    assert is_coprime_structural((2, 2), 5)
+    assert is_coprime_structural("121", 3)
+    assert not is_coprime_structural("211", 3)
+    assert is_coprime_structural("22", 5)
 
 
 @given(words, small_primes)
@@ -51,7 +51,7 @@ def test_structural_equals_direct(w, p):
     assert is_coprime_structural(w, p) == is_coprime_direct(w, p)
 
 
-@given(st.lists(st.sampled_from([1, 2]), max_size=60).map(tuple), st.sampled_from([2, 3, 5, 7, 11, 13, 31, 61]))
+@given(st.text(alphabet="12", max_size=60), st.sampled_from([2, 3, 5, 7, 11, 13, 31, 61]))
 def test_structural_pointer_walk_equals_direct_on_long_words(w, p):
     assert is_coprime_structural(w, p) == is_coprime_direct(w, p)
 
@@ -82,9 +82,9 @@ def test_each_prime_is_tested_once_per_scan(monkeypatch):
     assert calls == [3]
     for _ in range(2):  # a refusal is never cached
         with pytest.raises(ValueError, match="^9 is not prime$"):
-            is_coprime_direct((2,), 9)
+            is_coprime_direct("2", 9)
         with pytest.raises(ValueError, match="^9 is not prime$"):
-            is_coprime_structural((2,), 9)
+            is_coprime_structural("2", 9)
     assert calls == [3, 9, 9, 9, 9]
     primes.check_prime.cache_clear()
 
