@@ -6,15 +6,17 @@ Exit codes: 0 success, 1 failed assertion or domain guard, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import chain, islice
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .core import EMPTY_TOKEN, ROW_MAX_RANK, check_rank, row_size, word_text
-from .fstat import f_blocks, f_recursive, f_row
-from .macdonald import f_valued_rows, tree_rows
-from .primes import check_prime, coprime_count, is_coprime_structural, residue_distribution_mod_p, splits
-from .residues import is_equidistributed, pi_rows, residue_histogram_dp, residue_histogram_enum, verify_main_theorem, verify_one_step
+
+# Each command imports the layer functions it runs where it runs them, so a
+# run compiles and loads only its own modules (--help only this one and core),
+# and reads each function off the module that owns it at the call, so a
+# wrapper bound there (perfbench/tracer.py) sees every call.
 
 
 def _batches(chunks: Iterable[str]) -> Iterator[str]:
@@ -98,11 +100,15 @@ def _enumerate_json(records: Iterable[tuple[str, str, str, str]]) -> Iterator[st
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from .fstat import f_blocks
+
     if args.filter == "coprime" and args.prime is None:
         args.parser.error("--filter coprime requires --prime/-p")
     if args.filter != "coprime" and args.prime is not None:
         args.parser.error("--prime/-p applies only to --filter coprime")
     if args.filter == "coprime":
+        from .primes import check_prime
+
         check_prime(args.prime)  # refused before the row is built, not at its first word
     tails, fs, blocks = f_blocks(args.rank)  # the rank guard runs here, before any output
     modulus = {"odd": 2, "coprime": args.prime}.get(args.filter)
@@ -182,12 +188,26 @@ def _tree_json(rows: Rows, max_rank: int) -> Iterator[str]:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
+    from .macdonald import tree_rows
+
     rows = tree_rows(args.max_rank)  # the rank guard runs here, before any output
     if args.format == "json":
         _write(_tree_json(rows, args.max_rank), args.out)
     else:
         _write(_tree_dot(rows, args.f_valued), args.out)
     return 0
+
+
+def _suite_main(args: argparse.Namespace) -> list[dict[str, Any]]:
+    from .residues import verify_main_theorem
+
+    return verify_main_theorem(args.modulus_pow, args.n_extra)
+
+
+def _suite_one_step(args: argparse.Namespace) -> list[dict[str, Any]]:
+    from .residues import verify_one_step
+
+    return verify_one_step(args.modulus_pow, args.max_n)
 
 
 def _suite_pi_row(args: argparse.Namespace) -> list[dict[str, Any]]:
@@ -199,6 +219,9 @@ def _suite_pi_row(args: argparse.Namespace) -> list[dict[str, Any]]:
     the tests do, up to rank 30.  Rows compare by dict equality, in C: neither
     stores a zero count, so it agrees with Counter's ==.
     """
+    from .macdonald import f_valued_rows
+    from .residues import pi_rows
+
     records = []
     for (n, products), (_, f_values) in zip(pi_rows(args.max_n), f_valued_rows(args.max_n)):
         size = sum(products.values())
@@ -223,6 +246,9 @@ def _suite_coprime(args: argparse.Namespace) -> list[dict[str, Any]]:
     a block costs one g % p and one head check; predicates_agree stays exact
     per word.  --max-n 24: 0.08-0.09 s, against 0.8 s by words (2-core x86-64 VM).
     """
+    from .fstat import f_blocks
+    from .primes import check_prime, coprime_count, is_coprime_structural, splits
+
     check_rank(args.max_n, ROW_MAX_RANK)
     primes = list(dict.fromkeys(args.prime or [2, 3, 5, 7]))  # a repeated prime counts once, first seen first
     if (words := len(primes) * (row_size(args.max_n + 2) - 1)) > COPRIME_MAX_WORDS:
@@ -259,6 +285,8 @@ def _suite_coprime(args: argparse.Namespace) -> list[dict[str, Any]]:
 
 
 def _suite_oracle(args: argparse.Namespace) -> list[dict[str, Any]]:
+    from .fstat import f_recursive, f_row
+
     check_rank(args.max_n, ROW_MAX_RANK)
 
     def check(n: int) -> dict[str, Any]:
@@ -289,6 +317,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_residues(args: argparse.Namespace) -> int:
+    from .residues import is_equidistributed, residue_histogram_dp, residue_histogram_enum
+
     if args.prime is not None and args.method is not None:
         args.parser.error("--method applies only to power-of-two moduli (-k)")
     if args.modulus_pow is not None:
@@ -296,6 +326,8 @@ def cmd_residues(args: argparse.Namespace) -> int:
         compute = residue_histogram_enum if method == "enum" else residue_histogram_dp
         h = compute(args.rank, args.modulus_pow)
     else:
+        from .primes import residue_distribution_mod_p
+
         method = None
         h = residue_distribution_mod_p(args.rank, args.prime)
     flat = is_equidistributed(h)
@@ -339,11 +371,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite; exit 0 iff everything holds")
     suites = p_verify.add_subparsers(dest="suite", required=True)  # each takes only the options it reads
-    # The lambdas look verify_main_theorem/verify_one_step up in this module's
-    # globals at each call, so a wrapper bound there (perfbench/tracer.py) sees it.
     for suite, max_n, run in (
-        ("main", None, lambda args: verify_main_theorem(args.modulus_pow, args.n_extra)),
-        ("one-step", 12, lambda args: verify_one_step(args.modulus_pow, args.max_n)),
+        ("main", None, _suite_main),
+        ("one-step", 12, _suite_one_step),
         ("pi-row", 16, _suite_pi_row),
         ("coprime", 18, _suite_coprime),
         ("oracle", 12, _suite_oracle),
@@ -376,17 +406,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the command line on argv (default sys.argv[1:]) in process and return its exit code."""
     parser = _build_parser()
     try:
-        args, stray = parser.parse_known_args(argv)
-        if stray:  # argparse passes a leaf's unknown options up to the root: the leaf reports them, with its usage
-            args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
-        if hasattr(sys, "set_int_max_str_digits"):  # CPython 3.10.7+; after parsing, so arguments
-            sys.set_int_max_str_digits(0)  # still meet the digit limit and counts of any length print
-        return args.cmd(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        try:
+            args, stray = parser.parse_known_args(argv)
+            if stray:  # argparse passes a leaf's unknown options up to the root: the leaf reports them, with its usage
+                args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
+            if hasattr(sys, "set_int_max_str_digits"):  # CPython 3.10.7+; after parsing, so arguments
+                sys.set_int_max_str_digits(0)  # still meet the digit limit and counts of any length print
+            return args.cmd(args)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        finally:
+            sys.stdout.flush()  # here, so a failed last write is reported as any failed write is
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def run() -> NoReturn:
+    """main() as a process (python -m yflattice and the console script).
+
+    Both streams are flushed, so the process ends with os._exit and skips
+    the interpreter's teardown, which would only free memory the exit frees.
+    """
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
 

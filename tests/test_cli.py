@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yflattice import cli, coprime_count, enumerate_rank, fstat, is_coprime_structural, residues, word_text
+from yflattice import cli, coprime_count, enumerate_rank, fstat, is_coprime_structural, primes, residues, word_text
 from yflattice.macdonald import build_tree
 
 
@@ -195,24 +195,46 @@ def test_verify_coprime_csv_columns(run):
         assert column in header
 
 
+def _patch_head_route(monkeypatch, route):
+    """primes.splits patched with route(w, cut, p) for verify coprime's head checks only.
+
+    is_coprime_structural, the tail route, looks splits up in primes too:
+    its own calls keep the real splits.
+    """
+    structural, splits = primes.is_coprime_structural, primes.splits
+    in_tail = []
+
+    def tail_route(w, p):
+        in_tail.append(w)
+        try:
+            return structural(w, p)
+        finally:
+            in_tail.pop()
+
+    monkeypatch.setattr(primes, "is_coprime_structural", tail_route)
+    monkeypatch.setattr(primes, "splits", lambda w, cut, p: splits(w, cut, p) if in_tail else route(w, cut, p))
+
+
 def test_verify_coprime_walks_each_row_once(run, monkeypatch):
     calls = {"structural": 0, "splits": 0, "rows": []}
-    structural, splits, enumerate_rank = cli.is_coprime_structural, cli.splits, fstat.enumerate_rank
-
-    def counted_structural(w, p):
-        calls["structural"] += 1
-        return structural(w, p)
+    splits, enumerate_rank = primes.splits, fstat.enumerate_rank
 
     def counted_splits(w, cut, p):
         calls["splits"] += 1
         return splits(w, cut, p)
 
+    _patch_head_route(monkeypatch, counted_splits)
+    structural = primes.is_coprime_structural
+
+    def counted_structural(w, p):
+        calls["structural"] += 1
+        return structural(w, p)
+
     def counted_rows(n):
         calls["rows"].append(n)
         return enumerate_rank(n)
 
-    monkeypatch.setattr(cli, "is_coprime_structural", counted_structural)
-    monkeypatch.setattr(cli, "splits", counted_splits)
+    monkeypatch.setattr(primes, "is_coprime_structural", counted_structural)
     monkeypatch.setattr(fstat, "enumerate_rank", counted_rows)  # the block walk's row source
     code, _, _ = run("verify", "coprime", "-p", "3", "--max-n", "10")
     assert code == 0
@@ -250,8 +272,7 @@ def test_verify_coprime_equals_the_per_word_reference(run, monkeypatch, where, c
     # predicates_agree must turn false in exactly the rows that hold one.
     if where:
         changed = _change_blocks(fstat.f_blocks, where, change)
-        monkeypatch.setattr(fstat, "f_blocks", changed)  # the row source of f_row
-        monkeypatch.setattr(cli, "f_blocks", changed)
+        monkeypatch.setattr(fstat, "f_blocks", changed)  # the row source of f_row and of verify coprime
     primes = (2, 3, 5, 7, 11, 13)
     expected = []  # (p, n, count, closed_form_count, agree, predicates_agree)
     for p in primes:
@@ -267,7 +288,7 @@ def test_verify_coprime_equals_the_per_word_reference(run, monkeypatch, where, c
 
 
 def test_row_suites_report_a_disagreeing_route(run, monkeypatch):
-    structural, splits, f_recursive = cli.is_coprime_structural, cli.splits, cli.f_recursive
+    structural, splits, f_recursive = primes.is_coprime_structural, primes.splits, fstat.f_recursive
     # coprime reads each tail through is_coprime_structural and each head
     # through splits: one wrong verdict on "12" fails exactly the rows that
     # read it, as a tail (rows 6 and 7) or as a head (row 1 + "2" in rows 3
@@ -283,7 +304,10 @@ def test_row_suites_report_a_disagreeing_route(run, monkeypatch):
         ("splits", lambda w, cut, p: splits(w, cut, p) ^ (w == wrong), "head", [3, 4, 5, 6]),
     ):
         assert [n for n in range(8) if wrong in read(n, kind)] == rows
-        monkeypatch.setattr(cli, name, route)
+        if name == "splits":
+            _patch_head_route(monkeypatch, route)
+        else:
+            monkeypatch.setattr(primes, name, route)
         code, out, err = run("verify", "coprime", "-p", "3", "--max-n", "7", "--format", "json")
         assert code == 1 and err == "FAIL: suite coprime\n"
         records = json.loads(out)["records"]
@@ -291,7 +315,7 @@ def test_row_suites_report_a_disagreeing_route(run, monkeypatch):
         assert all(r["agree"] for r in records)  # the direct route is untouched
         monkeypatch.undo()
     wrong = "1212"  # one word of rank 6, deep inside the row
-    monkeypatch.setattr(cli, "f_recursive", lambda w: f_recursive(w) + (w == wrong))
+    monkeypatch.setattr(fstat, "f_recursive", lambda w: f_recursive(w) + (w == wrong))
     code, out, err = run("verify", "oracle", "--max-n", "7", "--format", "json")
     assert code == 1 and err == "FAIL: suite oracle\n"
     records = json.loads(out)["records"]
@@ -326,7 +350,7 @@ def test_verify_coprime_word_guard_boundary(run, monkeypatch):
     def reached(n):
         raise ValueError(f"reached row {n}")
 
-    monkeypatch.setattr(cli, "f_blocks", reached)  # the row source of verify coprime
+    monkeypatch.setattr(fstat, "f_blocks", reached)  # the row source of verify coprime
     for count, verdict in ((5, "reached row 0"), (6, "6 primes over rows 0..24 walk 1178502 words, over the guard of 1048576")):
         primes_argv = [arg for p in (2, 3, 5, 7, 11, 13)[:count] for arg in ("-p", str(p))]
         code, out, err = run("verify", "coprime", *primes_argv, "--max-n", "24")

@@ -1,7 +1,7 @@
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from yflattice import covers_down, enumerate_rank, f_blocks, f_product, f_recursive, f_row, parse_word, rank, word_text
+from yflattice import covers_down, enumerate_rank, f_blocks, f_product, f_recursive, f_row, parse_word, rank
 from yflattice.fstat import f_mod
 
 words = st.text(alphabet="12", max_size=12)
@@ -86,6 +86,8 @@ def _per_word(n):
 def test_block_walk_is_the_per_word_row():
     for n in range(21):
         assert list(f_row(n)) == _per_word(n)
+        tails, fs, _ = f_blocks(n)
+        assert fs == tuple([f_product(w) for w in row] for row in tails)
 
 
 @settings(max_examples=10, deadline=None)
@@ -93,11 +95,3 @@ def test_block_walk_is_the_per_word_row():
 @example(24)
 def test_block_walk_is_the_per_word_row_to_the_guard(n):
     assert list(f_row(n)) == _per_word(n)
-
-
-def test_block_texts_are_the_word_texts():
-    for n in range(21):
-        tails, fs, blocks = f_blocks(n)
-        assert fs == tuple([f_product(w) for w in row] for row in tails)
-        texts = [word_text(head, "") + word_text(tail, "") for head, _, t in blocks for tail in tails[t]]
-        assert texts == [word_text(w, "") for w in enumerate_rank(n)]

@@ -1,11 +1,14 @@
 """The package's export list: no stale or missing names; the tracer's targets; its import footprint; its run as a process."""
 
 import ast
+import os
 import subprocess
 import sys
 from operator import attrgetter
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import yflattice
 from yflattice import core, fstat, macdonald, primes, residues
@@ -29,8 +32,8 @@ def test_all_has_no_duplicates():
 def test_all_is_the_public_names():
     public = {
         name
-        for name, value in vars(yflattice).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
+        for name in dir(yflattice)
+        if not name.startswith("_") and not isinstance(getattr(yflattice, name), ModuleType)
     }
     assert set(yflattice.__all__) == public
 
@@ -72,6 +75,29 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert not {"dataclasses", "inspect"} & set(added)
 
 
+# The layer modules each command loads on top of yflattice, yflattice.cli and yflattice.core.
+LOADS = [
+    ("--help", set()),
+    ("verify main -k 3", {"yflattice.residues"}),
+    ("verify one-step -k 3 --max-n 8", {"yflattice.residues"}),
+    ("residues -n 6 -k 2", {"yflattice.residues"}),
+    ("verify oracle --max-n 5", {"yflattice.fstat"}),
+]
+
+
+@pytest.mark.parametrize(("argv", "layers"), LOADS, ids=[argv for argv, _ in LOADS])
+def test_each_command_loads_only_its_modules(argv, layers):
+    probe = (
+        "import contextlib, io, sys\n"
+        "from yflattice.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'yflattice'))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, *argv.split()], capture_output=True, text=True, check=True)
+    assert set(done.stdout.split()) == {"yflattice", "yflattice.cli", "yflattice.core", *layers}
+
+
 def test_package_runs_as_a_process():
     for argv, code in ((["main", "-k", "3"], 0), (["main", "-k", "15"], 1), (["main"], 2)):
         done = subprocess.run([sys.executable, "-m", "yflattice", "verify", *argv], capture_output=True, text=True)
@@ -80,3 +106,16 @@ def test_package_runs_as_a_process():
             assert done.stdout.endswith("checks passed\n")
         elif code == 1:
             assert done.stdout == "" and "guard of" in done.stderr
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_a_failed_last_write_exits_1():
+    # Without PYTHONUNBUFFERED the whole output sits in stdout's buffer until
+    # the last flush, which main makes and reports like any failed write.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "yflattice", "verify", "main", "-k", "3"], stdout=full, stderr=subprocess.PIPE, text=True, env=env
+        )
+    assert done.returncode == 1
+    assert done.stderr == "error: [Errno 28] No space left on device\n"
