@@ -11,7 +11,7 @@ import sys
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
-from .core import EMPTY_TOKEN, ROW_MAX_RANK, check_rank, row_size, word_text
+from .core import EMPTY_TOKEN, word_text
 
 # Each command imports the layer functions it runs where it runs them, so a
 # run compiles and loads only its own modules (--help only this one and core),
@@ -46,10 +46,15 @@ def _cell(value: Any) -> str:
 
 
 def _widths(keys: Sequence[str], rows: Iterable[Iterable[str]]) -> list[int]:
-    """Each column's width: its longest cell's or its key's length."""
-    widths = list(map(len, keys))
-    for row in rows:
-        widths = list(map(max, widths, map(len, row)))
+    """Each column's width: its longest cell's or its key's length.
+
+    The cell lengths are read as one stream, 1024 rows at a time, and
+    column i of a batch is its every m-th length from i on.
+    """
+    m, widths = len(keys), list(map(len, keys))
+    lens = map(len, chain.from_iterable(rows))
+    while batch := list(islice(lens, 1024 * m)):
+        widths = [max(w, *batch[i::m]) for i, w in enumerate(widths)]
     return widths
 
 
@@ -198,109 +203,12 @@ def cmd_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _suite_main(args: argparse.Namespace) -> list[dict[str, Any]]:
-    from .residues import verify_main_theorem
-
-    return verify_main_theorem(args.modulus_pow, args.n_extra)
-
-
-def _suite_one_step(args: argparse.Namespace) -> list[dict[str, Any]]:
-    from .residues import verify_one_step
-
-    return verify_one_step(args.modulus_pow, args.max_n)
-
-
-def _suite_pi_row(args: argparse.Namespace) -> list[dict[str, Any]]:
-    """One pi-row record per row 0..max-n, from two walks zipped row by row.
-
-    Two implementations of one recurrence, x -> {x, x*r} over the odd r < n:
-    the subset-product doubling in residues.pi_rows and the branching rule on
-    labels in macdonald.f_valued_rows.  Nothing here ties a label to its word;
-    the tests do, up to rank 30.  Rows compare by dict equality, in C: neither
-    stores a zero count, so it agrees with Counter's ==.
-    """
-    from .macdonald import f_valued_rows
-    from .residues import pi_rows
-
-    records = []
-    for (n, products), (_, f_values) in zip(pi_rows(args.max_n), f_valued_rows(args.max_n)):
-        size = sum(products.values())
-        match = dict.__eq__(products, f_values)
-        records.append({"check": "pi-row", "n": n, "cardinality": size, "ok": match and size == 1 << (n // 2)})
-    return records
-
-
-# verify coprime is priced at F(max_n + 3) - 1 words per distinct prime, the
-# words of rows 0..max_n, though it reads only the O(F(n/2)) heads and tails of
-# each row, so the price over-charges it: at --max-n 24 the default four primes
-# are 785668 words, 0.08-0.09 s (2-core x86-64 VM), and 6 or more distinct
-# primes are refused.
-COPRIME_MAX_WORDS = 1 << 20
-
-
-def _suite_coprime(args: argparse.Namespace) -> list[dict[str, Any]]:
-    """Per prime and row: the count of f % p != 0, its closed form, and is_coprime_structural, read by blocks.
-
-    A word head + tail (fstat.f_blocks) is prime to p iff g % p and f(tail) % p
-    are, and splits iff its head splits from cut n mod p and its tail does, so
-    a block costs one g % p and one head check; predicates_agree stays exact
-    per word.  --max-n 24: 0.08-0.09 s, against 0.8 s by words (2-core x86-64 VM).
-    """
-    from .fstat import f_blocks
-    from .primes import check_prime, coprime_count, is_coprime_structural, splits
-
-    check_rank(args.max_n, ROW_MAX_RANK)
-    primes = list(dict.fromkeys(args.prime or [2, 3, 5, 7]))  # a repeated prime counts once, first seen first
-    if (words := len(primes) * (row_size(args.max_n + 2) - 1)) > COPRIME_MAX_WORDS:
-        raise ValueError(f"{len(primes)} primes over rows 0..{args.max_n} walk {words} words, over the guard of {COPRIME_MAX_WORDS}")
-    for p in primes:
-        check_prime(p)  # every prime before the first row, not at its own first row
-    rows = [f_blocks(n) for n in range(args.max_n + 1)]  # O(F(n/2)) each, read by every prime
-
-    def check(p: int, n: int) -> dict[str, Any]:
-        tails, fs, blocks = rows[n]
-        direct = [[f % p != 0 for f in row_fs] for row_fs in fs]
-        structural = [[is_coprime_structural(w, p) for w in row] for row in tails]
-        flags = [(sum(d), sum(s), d == s) for d, s in zip(direct, structural)]  # per tails row
-        count, predicates, cut = 0, True, n % p
-        for head, g, t in blocks:
-            direct_count, structural_count, same = flags[t]
-            by_g, by_head = g % p != 0, splits(head, cut, p)
-            count += direct_count if by_g else 0
-            predicates &= same if by_g and by_head else not (by_g and direct_count or by_head and structural_count)
-        closed = coprime_count(p, n)
-        agree = count == closed
-        return {
-            "check": "coprime",
-            "p": p,
-            "n": n,
-            "count": count,
-            "closed_form_count": closed,
-            "agree": agree,
-            "predicates_agree": predicates,
-            "ok": agree and predicates,
-        }
-
-    return [check(p, n) for p in primes for n in range(args.max_n + 1)]
-
-
-def _suite_oracle(args: argparse.Namespace) -> list[dict[str, Any]]:
-    from .fstat import f_recursive, f_row
-
-    check_rank(args.max_n, ROW_MAX_RANK)
-
-    def check(n: int) -> dict[str, Any]:
-        words, agree = 0, True
-        for w, f in f_row(n):
-            words += 1
-            agree &= f == f_recursive(w)
-        return {"check": "oracle", "n": n, "words": words, "ok": agree}
-
-    return [check(n) for n in range(args.max_n + 1)]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    records = args.run(args)
+    from importlib import import_module
+
+    module, function = args.run
+    verify = getattr(import_module(f"{__package__}.{module}"), function)  # loaded on first use, read at the call
+    records = verify(*(getattr(args, dest) for dest in args.options))
     ok = all(r["ok"] for r in records)
     if args.format == "json":
         chunks = _json({"ok": ok, "records": records})
@@ -371,25 +279,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite; exit 0 iff everything holds")
     suites = p_verify.add_subparsers(dest="suite", required=True)  # each takes only the options it reads
-    for suite, max_n, run in (
-        ("main", None, _suite_main),
-        ("one-step", 12, _suite_one_step),
-        ("pi-row", 16, _suite_pi_row),
-        ("coprime", 18, _suite_coprime),
-        ("oracle", 12, _suite_oracle),
+    for suite, module, function, max_n in (  # each suite's library function, called with its options in order
+        ("main", "residues", "verify_main_theorem", None),
+        ("one-step", "residues", "verify_one_step", 12),
+        ("pi-row", "macdonald", "verify_pi_row", 16),
+        ("coprime", "primes", "verify_coprime", 18),
+        ("oracle", "fstat", "verify_oracle", 12),
     ):
         p_suite = suites.add_parser(suite)
+        options = []
         if suite in ("main", "one-step"):
-            p_suite.add_argument("-k", "--modulus-pow", type=int, required=True, help="modulus exponent")
+            options.append(p_suite.add_argument("-k", "--modulus-pow", type=int, required=True, help="modulus exponent"))
         if max_n is None:
-            p_suite.add_argument("--n-extra", type=int, default=2, help="rows past the threshold (default %(default)s)")
+            options.append(p_suite.add_argument("--n-extra", type=int, default=2, help="rows past the threshold (default %(default)s)"))
         else:
-            p_suite.add_argument("--max-n", "--max-rank", type=int, default=max_n, help="last row scanned (default %(default)s)")
+            options.append(p_suite.add_argument("--max-n", "--max-rank", type=int, default=max_n, help="last row scanned (default %(default)s)"))
         if suite == "coprime":
-            p_suite.add_argument("-p", "--prime", type=int, action="append", help="prime, repeatable (default 2, 3, 5, 7)")
+            options.append(p_suite.add_argument("-p", "--prime", type=int, action="append", help="prime, repeatable (default 2, 3, 5, 7)"))
         p_suite.add_argument("--format", choices=("table", "csv", "json", "jsonl"), default="table")
         p_suite.add_argument("--out", help="write output to this path instead of stdout")
-        p_suite.set_defaults(cmd=cmd_verify, run=run, parser=p_suite)
+        p_suite.set_defaults(cmd=cmd_verify, run=(module, function), options=[o.dest for o in options], parser=p_suite)
 
     p_res = sub.add_parser("residues", help="histogram of chain-count residues for one rank")
     p_res.add_argument("-n", "--rank", type=int, required=True)

@@ -21,13 +21,13 @@ words of rank <= 24, 44 MiB at the peak of verify oracle --max-rank 24.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterator
+from typing import Any, Iterator
 
 from .core import ROW_MAX_RANK, Word, check_rank, covers_down, enumerate_rank, rank
 
 # f_mod is left out and no CLI route calls it: it stays only because
 # perfbench/tracer.py wraps it by module path.
-__all__ = ["f_blocks", "f_product", "f_recursive", "f_row"]
+__all__ = ["f_blocks", "f_product", "f_recursive", "f_row", "verify_oracle"]
 
 
 @cache
@@ -78,6 +78,20 @@ def f_row(n: int) -> Iterator[tuple[Word, int]]:
     """(word, chain count) for every word of rank n, in row order; the rank guard runs at the call."""
     tails, fs, blocks = f_blocks(n)
     return ((head + w, g * f) for head, g, t in blocks for w, f in zip(tails[t], fs[t]))
+
+
+def verify_oracle(max_n: int) -> list[dict[str, Any]]:
+    """One oracle record per row 0..max_n: each word's f_row count against f_recursive, every word walked."""
+    check_rank(max_n, ROW_MAX_RANK)
+
+    def check(n: int) -> dict[str, Any]:
+        words, agree = 0, True
+        for w, f in f_row(n):
+            words += 1
+            agree &= f == f_recursive(w)
+        return {"check": "oracle", "n": n, "words": words, "ok": agree}
+
+    return [check(n) for n in range(max_n + 1)]
 
 
 def f_mod(w: Word, m: int) -> int:

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import accumulate
-from typing import Iterator, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from .core import EMPTY_WORD, SUBSET_MAX_RANK, TREE_MAX_RANK, Word, check_rank, rank
 from .primes import is_coprime_structural
+from .residues import pi_rows
 
 # MacdonaldNode, MacdonaldTree, build_tree and f_valued_row are left out and
 # no CLI route calls them: they stay only because perfbench/tracer.py wraps
 # build_tree, MacdonaldTree.rows and f_valued_row by module path.
-__all__ = ["f_valued_rows", "is_odd_word", "macdonald_children", "tree_rows"]
+__all__ = ["f_valued_rows", "is_odd_word", "macdonald_children", "tree_rows", "verify_pi_row"]
 
 
 def is_odd_word(w: Word) -> bool:
@@ -112,6 +113,23 @@ def f_valued_rows(last: int) -> Iterator[tuple[int, Counter[int]]]:
                 grown[g] = get(g, 0) + count
             row = grown
         yield n, row
+
+
+def verify_pi_row(max_n: int) -> list[dict[str, Any]]:
+    """One pi-row record per row 0..max_n, from two walks zipped row by row.
+
+    Two implementations of one recurrence, x -> {x, x*r} over the odd r < n:
+    the subset-product doubling in residues.pi_rows and the branching rule on
+    labels in f_valued_rows.  Nothing here ties a label to its word; the
+    tests do, up to rank 30.  Rows compare by dict equality, in C: neither
+    stores a zero count, so it agrees with Counter's ==.
+    """
+    records = []
+    for (n, products), (_, f_values) in zip(pi_rows(max_n), f_valued_rows(max_n)):
+        size = sum(products.values())
+        match = dict.__eq__(products, f_values)
+        records.append({"check": "pi-row", "n": n, "cardinality": size, "ok": match and size == 1 << (n // 2)})
+    return records
 
 
 def f_valued_row(n: int) -> Counter[int]:

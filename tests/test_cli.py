@@ -2,9 +2,9 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from yflattice import cli, coprime_count, enumerate_rank, fstat, is_coprime_structural, primes, residues, word_text
+from yflattice import coprime_count, enumerate_rank, fstat, is_coprime_structural, macdonald, primes, residues, word_text
 from yflattice.macdonald import build_tree
 
 
@@ -154,6 +154,9 @@ def test_verify_records_are_the_library_records(run):
     for argv, records in (
         (["main", "-k", "3", "--n-extra", "2"], residues.verify_main_theorem(3, 2)),
         (["one-step", "-k", "3", "--max-n", "12"], residues.verify_one_step(3, 12)),
+        (["pi-row", "--max-n", "12"], macdonald.verify_pi_row(12)),
+        (["coprime", "-p", "3", "-p", "5", "-p", "3", "--max-n", "10"], primes.verify_coprime(10, [3, 5, 3])),
+        (["oracle", "--max-n", "10"], fstat.verify_oracle(10)),
     ):
         code, out, _ = run("verify", *argv, "--format", "json")
         assert code == 0
@@ -355,7 +358,7 @@ def test_verify_coprime_word_guard_boundary(run, monkeypatch):
         primes_argv = [arg for p in (2, 3, 5, 7, 11, 13)[:count] for arg in ("-p", str(p))]
         code, out, err = run("verify", "coprime", *primes_argv, "--max-n", "24")
         assert code == 1 and out == "" and err == f"error: {verdict}\n"
-    assert cli.COPRIME_MAX_WORDS == 1 << 20
+    assert primes.COPRIME_MAX_WORDS == 1 << 20
 
 
 def test_verify_max_rank_is_max_n(run):
@@ -432,6 +435,7 @@ def _starts(line):
 
 @settings(deadline=None)
 @given(text_argv)
+@example(("enumerate", "-n", "16"))  # 1597 rows; the widest f, of 7 digits, first at row 1591
 def test_table_is_the_csv_aligned(run, argv):
     (code, table, table_err), (csv_code, csv, csv_err) = (run(*argv, "--format", fmt) for fmt in ("table", "csv"))
     assert code == csv_code == 0 and table_err == ""

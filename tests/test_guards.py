@@ -29,6 +29,7 @@ GUARDED = [
     (fstat.f_mod, ("21", 0), "modulus must be at least 2, got 0"),
     (fstat.f_row, (25,), "rank 25 exceeds the guard of 24"),
     (fstat.f_blocks, (25,), "rank 25 exceeds the guard of 24"),
+    (fstat.verify_oracle, (25,), "rank 25 exceeds the guard of 24"),
     (macdonald.tree_rows, (31,), "rank 31 exceeds the guard of 30"),
     (macdonald.tree_rows, (-1,), NEGATIVE),
     (macdonald.build_tree, (31,), "rank 31 exceeds the guard of 30"),
@@ -37,6 +38,7 @@ GUARDED = [
     (macdonald.macdonald_children, ("21",), "21 is not an odd word"),
     (macdonald.f_valued_rows, (41,), "rank 41 exceeds the guard of 40"),
     (macdonald.f_valued_row, (41,), "rank 41 exceeds the guard of 40"),
+    (macdonald.verify_pi_row, (41,), "rank 41 exceeds the guard of 40"),
     # histograms mod 2^k: the modulus exponent first, then the rank and the DP's work
     (residues.residue_histogram_enum, (41, 3), "rank 41 exceeds the guard of 40"),
     (residues.residue_histogram_enum, (41, 0), K0),
@@ -69,6 +71,10 @@ GUARDED = [
     (primes.residue_distribution_mod_p, (3, 2), "p must be an odd prime; modulus 2 is covered by the power-of-two histograms"),
     (primes.residue_distribution_mod_p, (3, 1000003), "modulus 1000003 needs 1000002 buckets, over the guard of 524288"),
     (primes.residue_distribution_mod_p, (25, 3), "rank 25 exceeds the guard of 24"),
+    # verify_coprime: the rank, then the price of its words, then every prime
+    (primes.verify_coprime, (25, (4,)), "rank 25 exceeds the guard of 24"),
+    (primes.verify_coprime, (24, (2, 3, 5, 7, 11, 13)), "6 primes over rows 0..24 walk 1178502 words, over the guard of 1048576"),
+    (primes.verify_coprime, (3, (3, 4)), "4 is not prime"),
 ]
 
 

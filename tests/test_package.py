@@ -82,6 +82,10 @@ LOADS = [
     ("verify one-step -k 3 --max-n 8", {"yflattice.residues"}),
     ("residues -n 6 -k 2", {"yflattice.residues"}),
     ("verify oracle --max-n 5", {"yflattice.fstat"}),
+    ("verify coprime -p 3 --max-n 4", {"yflattice.fstat", "yflattice.primes", "yflattice.residues"}),
+    ("verify pi-row --max-n 4", {"yflattice.fstat", "yflattice.macdonald", "yflattice.primes", "yflattice.residues"}),
+    ("enumerate -n 4", {"yflattice.fstat"}),
+    ("tree --max-rank 4", {"yflattice.fstat", "yflattice.macdonald", "yflattice.primes", "yflattice.residues"}),
 ]
 
 
