@@ -232,21 +232,21 @@ def cmd_residues(args: argparse.Namespace) -> int:
     if args.modulus_pow is not None:
         method = args.method or "dp"
         compute = residue_histogram_enum if method == "enum" else residue_histogram_dp
-        h = compute(args.rank, args.modulus_pow)
+        counts, modulus = compute(args.rank, args.modulus_pow), 1 << args.modulus_pow
     else:
         from .primes import residue_distribution_mod_p
 
         method = None
-        h = residue_distribution_mod_p(args.rank, args.prime)
-    flat = is_equidistributed(h)
+        counts, modulus = residue_distribution_mod_p(args.rank, args.prime), args.prime
+    flat = is_equidistributed(counts)
     verdict = f"verdict: {'flat' if flat else 'not-flat'}\n"
     if args.format == "json":
-        doc = {"n": args.rank, "modulus": h.modulus, "counts": h.counts, "flat": flat}  # json writes each int key as str(r)
+        doc = {"n": args.rank, "modulus": modulus, "counts": counts, "flat": flat}  # json writes each int key as str(r)
         if method is not None:
             doc["method"] = method
         chunks = _json(doc)
     else:
-        chunks = _text(["residue", "count"], lambda: (map(str, rc) for rc in h.counts.items()), args.format)
+        chunks = _text(["residue", "count"], lambda: (map(str, rc) for rc in counts.items()), args.format)
         if args.format == "table":
             chunks = chain(chunks, [verdict])
     _write(chunks, args.out)

@@ -14,8 +14,9 @@ from itertools import accumulate
 from typing import Any, Iterator, NamedTuple
 
 from .core import EMPTY_WORD, SUBSET_MAX_RANK, TREE_MAX_RANK, Word, check_rank, rank
-from .primes import is_coprime_structural
-from .residues import pi_rows
+
+# is_odd_word and verify_pi_row import primes and residues at the call, so
+# that tree loads no other layer and pi-row only residues.
 
 # MacdonaldNode, MacdonaldTree, build_tree and f_valued_row are left out and
 # no CLI route calls them: they stay only because perfbench/tracer.py wraps
@@ -25,6 +26,8 @@ __all__ = ["f_valued_rows", "is_odd_word", "macdonald_children", "tree_rows", "v
 
 def is_odd_word(w: Word) -> bool:
     """True iff the chain count of w is odd: the coprime split rule at p = 2."""
+    from .primes import is_coprime_structural
+
     return is_coprime_structural(w, 2)
 
 
@@ -124,6 +127,8 @@ def verify_pi_row(max_n: int) -> list[dict[str, Any]]:
     tests do, up to rank 30.  Rows compare by dict equality, in C: neither
     stores a zero count, so it agrees with Counter's ==.
     """
+    from .residues import pi_rows
+
     records = []
     for (n, products), (_, f_values) in zip(pi_rows(max_n), f_valued_rows(max_n)):
         size = sum(products.values())

@@ -19,7 +19,6 @@ from typing import Any, Iterable
 
 from .core import MODULUS_MAX_POW, ROW_MAX_RANK, Word, check_rank, rank, row_size
 from .fstat import f_blocks, f_mod
-from .residues import ResidueHistogram
 
 # is_coprime_direct is left out and no CLI route calls it: it stays only
 # because perfbench/tracer.py wraps it by module path.
@@ -116,7 +115,7 @@ def coprime_count(p: int, n: int) -> int:
     return row_size(p) ** m * row_size(r) if m else row_size(r)
 
 
-def residue_distribution_mod_p(n: int, p: int) -> ResidueHistogram:
+def residue_distribution_mod_p(n: int, p: int) -> dict[int, int]:
     """Histogram of the nonzero chain-count residues mod an odd prime over rank n.
 
     Counts only: unlike the power-of-two case these need not flatten out.
@@ -130,7 +129,7 @@ def residue_distribution_mod_p(n: int, p: int) -> ResidueHistogram:
         raise ValueError(f"modulus {p} needs {p - 1} buckets, over the guard of {buckets}")
     _, fs, blocks = f_blocks(n)
     tally = Counter(g * f % p for _, g, t in blocks for f in fs[t])
-    return ResidueHistogram(p, {r: tally[r] for r in range(1, p)})
+    return {r: tally[r] for r in range(1, p)}
 
 
 # verify_coprime is priced at F(max_n + 3) - 1 words per distinct prime, the

@@ -29,14 +29,13 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import chain, filterfalse, pairwise, repeat, starmap
 from operator import add, eq, lshift, mul, rshift, sub
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Iterator
 
 from .core import MODULUS_MAX_POW, SUBSET_MAX_RANK, check_rank
 
 # pi_multiset is left out and no CLI route calls it: it stays only because
 # perfbench/tracer.py wraps it by module path.
 __all__ = [
-    "ResidueHistogram",
     "is_equidistributed",
     "pi_rows",
     "residue_histogram_dp",
@@ -58,14 +57,7 @@ def _check_modulus_pow(k: int) -> None:
         raise ValueError(f"modulus exponent {k} exceeds the guard of {MODULUS_MAX_POW}")
 
 
-class ResidueHistogram(NamedTuple):
-    """Counts of residues mod `modulus`: the odd ones mod 2^k, the nonzero ones mod a prime."""
-
-    modulus: int
-    counts: dict[int, int]
-
-
-def residue_histogram_enum(n: int, k: int) -> ResidueHistogram:
+def residue_histogram_enum(n: int, k: int) -> dict[int, int]:
     """Histogram mod 2^k of row n's chain counts, by a fold over distinct residues.
 
     Starts from the empty product, {1: 1}, and folds in each factor c of
@@ -82,7 +74,7 @@ def residue_histogram_enum(n: int, k: int) -> ResidueHistogram:
     get = tally.get
     for c in _row_factors(n):
         tally |= {s: get(s, 0) + count for s, count in zip([r * c % m for r in tally], tally.values())}
-    return ResidueHistogram(m, {r: get(r, 0) for r in range(1, m, 2)})
+    return {r: get(r, 0) for r in range(1, m, 2)}
 
 
 # The guard prices a walk over `rows` rows ending at row `last` mod 2^k.  With
@@ -189,7 +181,7 @@ def _read_back(state: Components, size: int) -> list[int]:
     return [*plus, *minus] if wide == 1 else [*plus] * wide + [*minus] * wide  # list * 1 would copy
 
 
-def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, ResidueHistogram]]:
+def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, dict[int, int]]]:
     """Rows n through last with their histograms mod 2^k, in one pass.
 
     Every guard runs before the first fold, the DP work priced by the last
@@ -214,11 +206,11 @@ def _walk(k: int, n: int, last: int) -> Iterator[tuple[int, ResidueHistogram]]:
             h = None  # before the fold, so that the stale row is not held through it
             state = _fold(state, *divmod(dlog[(c >> 1) % len(dlog)], size))  # (c mod 2^k) >> 1
         if h is None:
-            h = ResidueHistogram(1 << k, dict(zip(keys, map(_read_back(state, size).__getitem__, dlog))))
+            h = dict(zip(keys, map(_read_back(state, size).__getitem__, dlog)))
         yield row, h
 
 
-def residue_histogram_dp(n: int, k: int) -> ResidueHistogram:
+def residue_histogram_dp(n: int, k: int) -> dict[int, int]:
     """Same histogram as residue_histogram_enum, by convolution in components.
 
     Makes (n//2) folds, each at most 2^(k-1) C-level adds over the live
@@ -228,28 +220,27 @@ def residue_histogram_dp(n: int, k: int) -> ResidueHistogram:
     return next(_walk(k, n, n))[1]
 
 
-def is_equidistributed(h: ResidueHistogram) -> bool:
+def is_equidistributed(counts: dict[int, int]) -> bool:
     """True iff every residue class in the histogram has the same count.
 
     One C-level scan that stops at the first count unlike the first, and
     hashes nothing; int == returns at once for the same object, so a flat
     row read back by reference is compared mostly by pointer.
     """
-    values = iter(h.counts.values())
+    values = iter(counts.values())
     return all(map(eq, values, repeat(next(values))))
 
 
-def _stepped(h: ResidueHistogram, n: int) -> ResidueHistogram:
-    """Histogram of row n+1 from the histogram of row n, by the step law.
+def _stepped(counts: dict[int, int], n: int, m: int) -> dict[int, int]:
+    """Histogram mod m = 2^k of row n+1 from that of row n, by the step law.
 
-    Even n adds no factor; odd n adds to the histogram its own shift by n,
-    pulled back: the shift's count at r is the count at r * n^-1 mod 2^k.
+    Even n adds no factor, so counts itself is returned; odd n adds to counts
+    its own shift by n, pulled back: the shift's count at r is counts[r * n^-1 mod m].
     """
     if n % 2 == 0:
-        return h
-    m, counts = h.modulus, h.counts
+        return counts
     inv = pow(n, -1, m)
-    return ResidueHistogram(m, {r: c + counts[r * inv % m] for r, c in counts.items()})
+    return {r: c + counts[r * inv % m] for r, c in counts.items()}
 
 
 def verify_main_theorem(k: int, n_extra: int) -> list[dict[str, Any]]:
@@ -265,7 +256,7 @@ def verify_main_theorem(k: int, n_extra: int) -> list[dict[str, Any]]:
         raise ValueError("n_extra must be nonnegative")
     start = (1 << (k - 1)) + 2
 
-    def record(n: int, h: ResidueHistogram) -> dict[str, Any]:
+    def record(n: int, h: dict[int, int]) -> dict[str, Any]:
         return {"check": "flat-row", "k": k, "n": n, "ok": is_equidistributed(h)}
 
     return list(starmap(record, _walk(k, start, start + n_extra)))
@@ -285,7 +276,8 @@ def verify_one_step(k: int, n_max: int) -> list[dict[str, Any]]:
     rows = ((n, h, is_equidistributed(h)) for n, h in _walk(k, 0, n_max + 1))
     records = []
     for (n, h, flat_n), (_, succ, flat_next) in pairwise(rows):
-        step = succ == _stepped(h, n)
+        stepped = _stepped(h, n, 1 << k)
+        step = succ is stepped or succ == stepped  # an even n's row is its successor: no 2^(k-1) key lookups
         ok = (flat_next or not flat_n) and step
         records.append(
             {"check": "step", "k": k, "n": n, "flat_n": flat_n, "flat_next": flat_next, "step_identity": step, "ok": ok}

@@ -127,7 +127,7 @@ def test_criterion_7_prime_coprimality():
     ok = ok and all(coprime_count(p, n) == count for (p, n), count in enumerated.items())
     ok = ok and all(enumerated[2, n] == 1 << (n // 2) for n in range(19))
     for n in (3, 6):
-        ok = ok and len(set(residue_distribution_mod_p(n, 3).counts.values())) > 1
+        ok = ok and len(set(residue_distribution_mod_p(n, 3).values())) > 1
     elapsed = perf_counter() - start
     _report(7, "coprimality split rule, counting identity, mod-3 non-flat witnesses", ok and elapsed < 30.0, elapsed, 30.0)
 

@@ -82,24 +82,57 @@ LOADS = [
     ("verify one-step -k 3 --max-n 8", {"yflattice.residues"}),
     ("residues -n 6 -k 2", {"yflattice.residues"}),
     ("verify oracle --max-n 5", {"yflattice.fstat"}),
-    ("verify coprime -p 3 --max-n 4", {"yflattice.fstat", "yflattice.primes", "yflattice.residues"}),
-    ("verify pi-row --max-n 4", {"yflattice.fstat", "yflattice.macdonald", "yflattice.primes", "yflattice.residues"}),
+    ("verify coprime -p 3 --max-n 4", {"yflattice.fstat", "yflattice.primes"}),
+    ("verify pi-row --max-n 4", {"yflattice.macdonald", "yflattice.residues"}),
     ("enumerate -n 4", {"yflattice.fstat"}),
-    ("tree --max-rank 4", {"yflattice.fstat", "yflattice.macdonald", "yflattice.primes", "yflattice.residues"}),
+    ("enumerate -n 4 --filter coprime -p 3", {"yflattice.fstat", "yflattice.primes"}),
+    ("residues -n 6 -p 3", {"yflattice.fstat", "yflattice.primes", "yflattice.residues"}),
+    ("tree --max-rank 4", {"yflattice.macdonald"}),
 ]
+
+
+def _loaded_after(code, *argv):
+    """The yflattice modules loaded in a fresh interpreter once it has run code, which prints nothing, on argv."""
+    probe = f"import sys\n{code}\nprint(*sorted(m for m in sys.modules if m.partition('.')[0] == 'yflattice'))"
+    return set(subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, check=True).stdout.split())
 
 
 @pytest.mark.parametrize(("argv", "layers"), LOADS, ids=[argv for argv, _ in LOADS])
 def test_each_command_loads_only_its_modules(argv, layers):
-    probe = (
-        "import contextlib, io, sys\n"
+    run = (
+        "import contextlib, io\n"
         "from yflattice.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(sys.argv[1:]) == 0\n"
-        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'yflattice'))"
+        "    assert main(sys.argv[1:]) == 0"
     )
-    done = subprocess.run([sys.executable, "-c", probe, *argv.split()], capture_output=True, text=True, check=True)
-    assert set(done.stdout.split()) == {"yflattice", "yflattice.cli", "yflattice.core", *layers}
+    assert _loaded_after(run, *argv.split()) == {"yflattice", "yflattice.cli", "yflattice.core", *layers}
+
+
+def test_name_lookups_load_only_what_they_name():
+    assert _loaded_after("from yflattice import cli") == {"yflattice", "yflattice.cli", "yflattice.core"}
+    assert _loaded_after("import yflattice\nassert not hasattr(yflattice, '__version__')") == {"yflattice"}
+
+
+def test_tracer_leaves_no_unwrapped_reference():
+    """After install(), as the tracer's main runs it, no yflattice module holds a WRAPPED function itself.
+
+    A layer that bound another layer's function at import, before install()
+    wrapped it there, would keep the original, and its calls would go untraced.
+    """
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(TRACER.parent)!r})\n"
+        "import tracer\n"
+        "tracer.install(tracer.Tracer(0, False))\n"
+        "targets = {(f'yflattice.{module}', attr) for _, module, attr, _ in tracer.WRAPPED}\n"
+        "for name, module in sorted(sys.modules.items()):\n"
+        "    if name.partition('.')[0] == 'yflattice':\n"
+        "        for key, value in vars(module).items():\n"
+        "            if (getattr(value, '__module__', None), getattr(value, '__qualname__', None)) in targets:\n"
+        "                print(f'{name}.{key}')\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert done.stdout == ""
 
 
 def test_package_runs_as_a_process():

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from yflattice import (
-    ResidueHistogram,
     coprime_count,
     enumerate_rank,
     f_blocks,
@@ -138,16 +137,16 @@ def test_coprime_count_closed_needs_no_enumeration(monkeypatch):
 
 
 def test_residue_distribution_known():
-    assert residue_distribution_mod_p(3, 3).counts == {1: 2, 2: 1}
-    assert residue_distribution_mod_p(0, 5) == ResidueHistogram(5, {1: 1, 2: 0, 3: 0, 4: 0})
-    assert sum(residue_distribution_mod_p(3, 524287).counts.values()) == 3  # the largest p accepted
+    assert residue_distribution_mod_p(3, 3) == {1: 2, 2: 1}
+    assert residue_distribution_mod_p(0, 5) == {1: 1, 2: 0, 3: 0, 4: 0}
+    assert sum(residue_distribution_mod_p(3, 524287).values()) == 3  # the largest p accepted
 
 
 def test_residue_distribution_not_flat_witnesses():
     for n in (3, 6):
-        counts = residue_distribution_mod_p(n, 3).counts
+        counts = residue_distribution_mod_p(n, 3)
         assert len(set(counts.values())) > 1
-    assert residue_distribution_mod_p(6, 3).counts == {1: 5, 2: 4}
+    assert residue_distribution_mod_p(6, 3) == {1: 5, 2: 4}
 
 
 def test_residue_distribution_counts_coprime_words():
@@ -156,5 +155,14 @@ def test_residue_distribution_counts_coprime_words():
         fs = [f_product(w) for w in enumerate_rank(n)]
         for p in (3, 5, 7, 11, 13, 29):
             tally = Counter(f % p for f in fs)
-            assert residue_distribution_mod_p(n, p).counts == {r: tally[r] for r in range(1, p)}, (n, p)
+            assert residue_distribution_mod_p(n, p) == {r: tally[r] for r in range(1, p)}, (n, p)
         assert 0 not in tally  # at p = 29 every factor is below p: no word lands in bucket 0
+
+
+@given(st.integers(min_value=0, max_value=24), st.sampled_from([3, 5, 7, 11, 13]))
+@settings(max_examples=40, deadline=None)
+def test_residue_distribution_keys_and_mass(n, p):
+    # a plain dict over the nonzero residues in order, whose mass is the closed-form coprime count
+    h = residue_distribution_mod_p(n, p)
+    assert list(h) == list(range(1, p))
+    assert sum(h.values()) == coprime_count(p, n)

@@ -9,7 +9,6 @@ import pytest
 
 from yflattice import residues
 from yflattice import (
-    ResidueHistogram,
     enumerate_rank,
     is_equidistributed,
     is_odd_word,
@@ -24,9 +23,9 @@ from yflattice.residues import pi_multiset
 
 
 def test_enum_known_histograms():
-    assert residue_histogram_enum(6, 3).counts == {1: 2, 3: 2, 5: 2, 7: 2}
-    assert residue_histogram_enum(5, 3).counts == {1: 2, 3: 2, 5: 0, 7: 0}
-    assert residue_histogram_enum(0, 2).counts == {1: 1, 3: 0}
+    assert residue_histogram_enum(6, 3) == {1: 2, 3: 2, 5: 2, 7: 2}
+    assert residue_histogram_enum(5, 3) == {1: 2, 3: 2, 5: 0, 7: 0}
+    assert residue_histogram_enum(0, 2) == {1: 1, 3: 0}
 
 
 @given(st.integers(min_value=0, max_value=16), st.integers(min_value=1, max_value=6))
@@ -35,13 +34,13 @@ def test_enum_is_the_tally_of_every_subset_product(n, k):
     m = 1 << k
     factors = residues._row_factors(n)
     tally = Counter(prod(s) % m for size in range(len(factors) + 1) for s in combinations(factors, size))
-    assert residue_histogram_enum(n, k) == ResidueHistogram(m, {r: tally[r] for r in range(1, m, 2)})
+    assert residue_histogram_enum(n, k) == {r: tally[r] for r in range(1, m, 2)}
 
 
 def test_dp_known_histograms():
-    assert residue_histogram_dp(6, 3).counts == {1: 2, 3: 2, 5: 2, 7: 2}
-    assert residue_histogram_dp(4, 2).counts == {1: 2, 3: 2}
-    assert residue_histogram_dp(1, 1).counts == {1: 1}
+    assert residue_histogram_dp(6, 3) == {1: 2, 3: 2, 5: 2, 7: 2}
+    assert residue_histogram_dp(4, 2) == {1: 2, 3: 2}
+    assert residue_histogram_dp(1, 1) == {1: 1}
 
 
 @given(st.integers(min_value=0, max_value=24), st.integers(min_value=1, max_value=8))
@@ -80,9 +79,8 @@ def test_dp_equals_enum_where_factors_wrap():
 @settings(max_examples=60)
 def test_histogram_shape(n, k):
     h = residue_histogram_dp(n, k)
-    assert h.modulus == 1 << k
-    assert list(h.counts) == list(range(1, h.modulus, 2))
-    assert sum(h.counts.values()) == 1 << (n // 2)
+    assert list(h) == list(range(1, 1 << k, 2))
+    assert sum(h.values()) == 1 << (n // 2)
 
 
 def test_histogram_matches_word_enumeration():
@@ -90,36 +88,36 @@ def test_histogram_matches_word_enumeration():
         for k in (1, 2, 3):
             m = 1 << k
             oracle = Counter(f_mod(w, m) for w in enumerate_rank(n) if is_odd_word(w))
-            got = residue_histogram_enum(n, k).counts
+            got = residue_histogram_enum(n, k)
             assert {r: c for r, c in got.items() if c} == dict(oracle)
 
 
 def test_is_equidistributed():
-    assert is_equidistributed(ResidueHistogram(8, {1: 2, 3: 2, 5: 2, 7: 2}))
-    assert not is_equidistributed(ResidueHistogram(8, {1: 2, 3: 2, 5: 0, 7: 0}))
-    assert is_equidistributed(ResidueHistogram(2, {1: 1}))
+    assert is_equidistributed({1: 2, 3: 2, 5: 2, 7: 2})
+    assert not is_equidistributed({1: 2, 3: 2, 5: 0, 7: 0})
+    assert is_equidistributed({1: 1})
     # equal counts that are distinct objects: the verdict is by value, not by identity
     big = [int("9" * 40) for _ in range(4)]
-    assert big[0] is not big[1] and is_equidistributed(ResidueHistogram(8, dict(zip((1, 3, 5, 7), big))))
+    assert big[0] is not big[1] and is_equidistributed(dict(zip((1, 3, 5, 7), big)))
     # one bucket off, last or first: the scan reads every count
-    assert not is_equidistributed(ResidueHistogram(8, {1: 2, 3: 2, 5: 2, 7: 3}))
-    assert not is_equidistributed(ResidueHistogram(8, {1: 3, 3: 2, 5: 2, 7: 2}))
+    assert not is_equidistributed({1: 2, 3: 2, 5: 2, 7: 3})
+    assert not is_equidistributed({1: 3, 3: 2, 5: 2, 7: 2})
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=12), st.booleans())
 def test_is_equidistributed_matches_set(values, fresh):
     if fresh:  # each count a distinct object, equal counts included
         values = [int(str(10**40 + v)) for v in values]
-    h = ResidueHistogram(2 * len(values), dict(zip(range(1, 2 * len(values), 2), values)))
+    h = dict(zip(range(1, 2 * len(values), 2), values))
     assert is_equidistributed(h) == (len(set(values)) == 1)
 
 
 def test_multiplicative_shift():
     # an odd step adds the row shifted by n: row 5 mod 8 is {1: 2, 3: 2}, and 5 sends 1, 3 to 5, 7
     h = residue_histogram_enum(5, 3)
-    added = {r: c - h.counts[r] for r, c in residues._stepped(h, 5).counts.items()}
+    added = {r: c - h[r] for r, c in residues._stepped(h, 5, 8).items()}
     assert added == {1: 0, 3: 0, 5: 2, 7: 2}
-    assert residues._stepped(h, 1).counts == {r: 2 * c for r, c in h.counts.items()}
+    assert residues._stepped(h, 1, 8) == {r: 2 * c for r, c in h.items()}
 
 
 @given(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=40))
@@ -127,9 +125,9 @@ def test_multiplicative_shift():
 def test_shift_preserves_mass(n, k, c):
     # the shift an odd step adds is nonnegative and carries the row's whole mass
     h = residue_histogram_dp(n, k)
-    added = {r: s - h.counts[r] for r, s in residues._stepped(h, 2 * c + 1).counts.items()}
+    added = {r: s - h[r] for r, s in residues._stepped(h, 2 * c + 1, 1 << k).items()}
     assert min(added.values()) >= 0
-    assert sum(added.values()) == sum(h.counts.values())
+    assert sum(added.values()) == sum(h.values())
 
 
 @given(st.integers(1, 8), st.integers(0, 300), st.integers(0, 300))
@@ -137,14 +135,14 @@ def test_shift_preserves_mass(n, k, c):
 def test_stepped_is_the_push_forward_added(k, row, n):
     """Any row's histogram, stepped by any n: the pull-back by n^-1 is the push-forward by n."""
     h = residue_histogram_dp(row, k)
-    stepped = residues._stepped(h, n)
+    m = 1 << k
+    stepped = residues._stepped(h, n, m)
     if n % 2 == 0:
         assert stepped is h
         return
-    m = h.modulus
-    shifted = {r * n % m: c for r, c in h.counts.items()}
-    assert stepped == ResidueHistogram(m, {r: c + shifted[r] for r, c in h.counts.items()})
-    assert sum(stepped.counts.values()) == 2 * sum(h.counts.values())
+    shifted = {r * n % m: c for r, c in h.items()}
+    assert stepped == {r: c + shifted[r] for r, c in h.items()}
+    assert sum(stepped.values()) == 2 * sum(h.values())
 
 
 def test_verify_main_theorem_known():
@@ -234,7 +232,7 @@ def test_dp_work_guard_refuses_what_the_read_back_price_refused(walk):
 def test_k14_threshold_row(k14_threshold):
     (_, _, flat), (_, _, before) = k14_threshold(8194), k14_threshold(8193)
     assert is_equidistributed(flat) and not is_equidistributed(before)
-    assert (sum(flat.counts.values()), sum(before.counts.values())) == (1 << 4097, 1 << 4096)
+    assert (sum(flat.values()), sum(before.values())) == (1 << 4097, 1 << 4096)
 
 
 def test_verify_one_step_scan():
@@ -318,7 +316,7 @@ def _bucket_walk(k, n, last):
             buckets = _bucket_fold(buckets, c, dlog)
         folded = len(factors)
         flat = buckets[0] + buckets[1]
-        yield row, ResidueHistogram(1 << k, {2 * i + 1: flat[code] for i, code in enumerate(dlog)})
+        yield row, {2 * i + 1: flat[code] for i, code in enumerate(dlog)}
 
 
 def _bucket_read_back(state, size):
@@ -355,7 +353,7 @@ def test_walk_matches_bucket_reference():
         for start in (0, 7):
             last = (1 << (k - 1)) + 40
             for (n, got), (m, want) in zip(residues._walk(k, start, last), _bucket_walk(k, start, last), strict=True):
-                assert (n, list(got.counts.items())) == (m, list(want.counts.items())), (k, n)
+                assert (n, list(got.items())) == (m, list(want.items())), (k, n)
 
 
 @given(st.integers(1, 9), st.data())
@@ -365,7 +363,7 @@ def test_walk_from_any_row_matches_bucket_reference(k, data):
     n = data.draw(st.integers(0, (1 << k) + 40))
     last = n + data.draw(st.integers(0, 3))
     for (m, got), (r, want) in zip(residues._walk(k, n, last), _bucket_walk(k, n, last), strict=True):
-        assert (m, list(got.counts.items())) == (r, list(want.counts.items())), (k, m)
+        assert (m, list(got.items())) == (r, list(want.items())), (k, m)
 
 
 def test_threshold_row_folds_widest_component_first(monkeypatch):
@@ -382,8 +380,8 @@ def test_threshold_row_folds_widest_component_first(monkeypatch):
 def test_walk_rows_are_nonnegative_with_full_mass():
     for k in range(1, 11):
         for n, h in residues._walk(k, 0, (1 << (k - 1)) + 40):
-            assert min(h.counts.values()) >= 0, (k, n)
-            assert sum(h.counts.values()) == 1 << (n // 2), (k, n)
+            assert min(h.values()) >= 0, (k, n)
+            assert sum(h.values()) == 1 << (n // 2), (k, n)
 
 
 def _traced_peak(f, *args):
@@ -406,11 +404,11 @@ def test_verify_main_theorem_peak_memory():
 def test_threshold_rows_are_read_back_by_reference():
     """A flat row is one live component: its 2^(k-1) counts are references to at most two ints."""
     for k in range(3, 13):
-        counts = residue_histogram_dp((1 << (k - 1)) + 2, k).counts.values()
+        counts = residue_histogram_dp((1 << (k - 1)) + 2, k).values()
         assert len(set(map(id, counts))) <= 2, k
     # row 4098 mod 2^13 peaked at 1.72 MiB when each count was built afresh, 0.55 by reference
     h, peak = _traced_peak(residue_histogram_dp, 4098, 13)
-    assert is_equidistributed(h) and len(set(map(id, h.counts.values()))) <= 2
+    assert is_equidistributed(h) and len(set(map(id, h.values()))) <= 2
     assert peak < 1 * 2**20
 
 
@@ -438,15 +436,14 @@ def test_verify_one_step_flags_match_dp():
 
 def test_verify_one_step_catches_wrong_shift(monkeypatch):
     stepped = residues._stepped
-    monkeypatch.setattr(residues, "_stepped", lambda h, n: stepped(h, n + 2))
+    monkeypatch.setattr(residues, "_stepped", lambda h, n, m: stepped(h, n + 2, m))
     assert [v["n"] for v in verify_one_step(3, 12) if not v["step_identity"]] == [1, 3]
 
 
 def test_verify_one_step_catches_a_pull_back_by_n(monkeypatch):
     # mutation: pull back by n, not n^-1; every odd n is its own inverse mod 8, so only k >= 4 tells
-    def pulled_by_n(h, n):
-        m, counts = h.modulus, h.counts
-        return h if n % 2 == 0 else ResidueHistogram(m, {r: c + counts[r * n % m] for r, c in counts.items()})
+    def pulled_by_n(counts, n, m):
+        return counts if n % 2 == 0 else {r: c + counts[r * n % m] for r, c in counts.items()}
 
     monkeypatch.setattr(residues, "_stepped", pulled_by_n)
     assert all(v["step_identity"] for v in verify_one_step(3, 40))
@@ -466,7 +463,7 @@ def test_verify_one_step_catches_wrong_row_factors(run, monkeypatch):
 
 def test_verify_one_step_flags_lost_flatness(monkeypatch):
     # mutation: only rows of 8 odd words (n = 6, 7) read flat, so flatness is lost from 7 to 8
-    monkeypatch.setattr(residues, "is_equidistributed", lambda h: sum(h.counts.values()) == 8)
+    monkeypatch.setattr(residues, "is_equidistributed", lambda h: sum(h.values()) == 8)
     failing = [v for v in verify_one_step(3, 9) if not v["ok"]]
     assert failing == [
         {"check": "step", "k": 3, "n": 7, "flat_n": True, "flat_next": False, "step_identity": True, "ok": False}
@@ -478,7 +475,7 @@ def test_one_step_even_identity():
 
 
 def test_one_step_odd_decomposition():
-    assert residues._stepped(residue_histogram_enum(5, 3), 5).counts == residue_histogram_enum(6, 3).counts
+    assert residues._stepped(residue_histogram_enum(5, 3), 5, 8) == residue_histogram_enum(6, 3)
 
 
 def test_pi_multiset_known():
