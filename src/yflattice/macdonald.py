@@ -96,26 +96,28 @@ def build_tree(max_rank: int) -> MacdonaldTree:
     return MacdonaldTree(above[0], max_rank)
 
 
-def f_valued_rows(last: int) -> Iterator[tuple[int, Counter[int]]]:
-    """Rows 0 through last with their multisets of chain counts, in one pass.
+def _grown(row: Counter[int], n: int) -> Counter[int]:
+    """Row n's chain counts from row n - 1's: at odd r = n - 1 each label f is kept (11v) and f * r added (2v).
 
-    Folds in the tree's branching rule, one distinct value per key: at each
-    odd rank r every label is kept (11v) and label * r is added (2v), once
-    on the way up.  Even ranks add nothing, so rows 2m and 2m+1 are the
-    same Counter.  The guard runs before the first fold.
+    Even n grows a copy, one distinct value per key; odd n adds nothing, so rows 2m and 2m + 1 are one Counter.
+    """
+    if n % 2:
+        return row
+    grown = Counter(row)
+    get = grown.get  # not +=, which calls Counter's __missing__ at every new key
+    for f, count in row.items():
+        g = f * (n - 1)
+        grown[g] = get(g, 0) + count
+    return grown
+
+
+def f_valued_rows(last: int) -> Iterator[tuple[int, Counter[int]]]:
+    """Rows 0 through last with their multisets of chain counts, each _grown from the one before when asked for.
+
+    The guard runs at the call.
     """
     check_rank(last, SUBSET_MAX_RANK)
-    row = Counter({1: 1})
-    for n in range(last + 1):
-        if n % 2 == 0 and n:
-            r = n - 1
-            grown = Counter(row)
-            get = grown.get  # not +=, which calls Counter's __missing__ at every new key
-            for f, count in row.items():
-                g = f * r
-                grown[g] = get(g, 0) + count
-            row = grown
-        yield n, row
+    return enumerate(accumulate(range(1, last + 1), _grown, initial=Counter({1: 1})))
 
 
 def verify_pi_row(max_n: int) -> list[dict[str, Any]]:
@@ -139,4 +141,4 @@ def verify_pi_row(max_n: int) -> list[dict[str, Any]]:
 
 def f_valued_row(n: int) -> Counter[int]:
     """Multiset of chain counts over the odd words of rank n: the last row of f_valued_rows(n)."""
-    return deque(f_valued_rows(n), maxlen=1)[0][1]  # the walk's guard runs here, at the call
+    return deque(f_valued_rows(n), maxlen=1)[0][1]

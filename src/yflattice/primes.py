@@ -132,31 +132,29 @@ def residue_distribution_mod_p(n: int, p: int) -> dict[int, int]:
     return {r: tally[r] for r in range(1, p)}
 
 
-# verify_coprime is priced at F(max_n + 3) - 1 words per distinct prime, the
-# words of rows 0..max_n, though it reads only the O(F(n/2)) heads and tails of
-# each row, so the price over-charges it: at max_n 24 the default four primes
-# are 785668 words, 0.08-0.09 s (2-core x86-64 VM), and 6 or more distinct
-# primes are refused.
-COPRIME_MAX_WORDS = 1 << 20
+# verify_coprime is priced at the heads and tails it reads per distinct prime,
+# sum over n <= max_n of row_size(n - n//2 + 1) + row_size(n//2 + 1): 3562 at
+# max_n 24, against 196417 words.  A prime costs 3-4 ms there (2-core x86-64
+# VM), so the guard admits up to 1177 distinct primes at max_n 24, 3.1-3.5 s.
+COPRIME_MAX_HEADS_AND_TAILS = 1 << 22
 
 
 def verify_coprime(max_n: int, primes: Iterable[int] | None = None) -> list[dict[str, Any]]:
     """Per prime (default 2, 3, 5, 7) and row: the count of f % p != 0, its closed form, and is_coprime_structural, read by blocks.
 
-    A word head + tail (fstat.f_blocks) is prime to p iff g % p and f(tail) % p
-    are, and splits iff its head splits from cut n mod p and its tail does, so
-    a block costs one g % p and one head check; predicates_agree stays exact
-    per word.  max_n 24: 0.08-0.09 s, against 0.8 s by words (2-core x86-64 VM).
-    The rank, the price and every prime are checked before the first row.
+    A word head + tail (fstat.f_blocks) is prime to p iff g % p and f(tail) % p are, and splits iff its head
+    splits from cut n mod p and its tail does, so a block costs one g % p and one head check; predicates_agree
+    stays exact per word.  The rank, the price and every prime are checked before the first row.
     """
     # read off their modules at the call: fstat's f_blocks is the row source,
     # and core's row_size prices the run (this module's is coprime_count's work)
     from . import core, fstat
 
     check_rank(max_n, ROW_MAX_RANK)
-    primes = list(dict.fromkeys(primes or [2, 3, 5, 7]))  # a repeated prime counts once, first seen first
-    if (words := len(primes) * (core.row_size(max_n + 2) - 1)) > COPRIME_MAX_WORDS:
-        raise ValueError(f"{len(primes)} primes over rows 0..{max_n} walk {words} words, over the guard of {COPRIME_MAX_WORDS}")
+    primes = list(dict.fromkeys([2, 3, 5, 7] if primes is None else primes))  # a repeated prime counts once
+    plan = sum(core.row_size(n - n // 2 + 1) + core.row_size(n // 2 + 1) for n in range(max_n + 1))
+    if (reads := len(primes) * plan) > (limit := COPRIME_MAX_HEADS_AND_TAILS):
+        raise ValueError(f"{len(primes)} primes over rows 0..{max_n} read {reads} heads and tails, over the guard of {limit}")
     for p in primes:
         check_prime(p)  # every prime before the first row, not at its own first row
     rows = [fstat.f_blocks(n) for n in range(max_n + 1)]  # O(F(n/2)) each, read by every prime

@@ -27,7 +27,8 @@ counts last, since the levels above its last live one only duplicate.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import chain, filterfalse, pairwise, repeat, starmap
+from functools import partial
+from itertools import accumulate, chain, filterfalse, pairwise, repeat, starmap
 from operator import add, eq, lshift, mul, rshift, sub
 from typing import Any, Iterator
 
@@ -228,7 +229,7 @@ def is_equidistributed(counts: dict[int, int]) -> bool:
     row read back by reference is compared mostly by pointer.
     """
     values = iter(counts.values())
-    return all(map(eq, values, repeat(next(values))))
+    return all(map(eq, values, repeat(next(values, None))))  # no class differs in an empty histogram
 
 
 def _stepped(counts: dict[int, int], n: int, m: int) -> dict[int, int]:
@@ -285,29 +286,28 @@ def verify_one_step(k: int, n_max: int) -> list[dict[str, Any]]:
     return records
 
 
-def pi_rows(last: int) -> Iterator[tuple[int, Counter[int]]]:
-    """Rows 0 through last with their multisets of subset products, in one pass.
+def _doubled(prods: list[int], top: int | None, tally: Counter[int], n: int) -> Counter[int]:
+    """Row n's tally from row n - 1's, grown in place: prods doubles once per factor row n adds.
 
-    The product list doubles once per factor a row adds to the row before
-    it, and only the new products are tallied, so rows 2j and 2j + 1 share
-    their work.  The last row's last factor is only tallied: no later row
-    reads its products.  The guard runs before the first product.  Each
-    row yields the one tally, which the next row grows in place: read a
-    row before asking for the next.
+    Only the new products are tallied; top, the walk's last factor, is only tallied: no later row reads its products.
+    """
+    for c in _row_factors(n)[len(_row_factors(n - 1)) :]:
+        new = map(mul, prods, repeat(c))
+        if c != top:
+            new = list(new)
+            prods += new
+        tally.update(new)
+    return tally
+
+
+def pi_rows(last: int) -> Iterator[tuple[int, Counter[int]]]:
+    """Rows 0 through last with their multisets of subset products, each _doubled from the one before when asked for.
+
+    The guard runs at the call.  Every row is the one tally, grown in place: read a row before asking for the next.
     """
     check_rank(last, SUBSET_MAX_RANK)
-    top = max(_row_factors(last), default=None)
-    prods, tally, folded = [1], Counter({1: 1}), 0
-    for n in range(last + 1):
-        factors = _row_factors(n)
-        for c in factors[folded:]:
-            new = map(mul, prods, repeat(c))
-            if c != top:
-                new = list(new)
-                prods += new
-            tally.update(new)
-        folded = len(factors)
-        yield n, tally
+    step = partial(_doubled, [1], max(_row_factors(last), default=None))
+    return enumerate(accumulate(range(1, last + 1), step, initial=Counter({1: 1})))
 
 
 def pi_multiset(n: int) -> Counter[int]:
@@ -317,4 +317,4 @@ def pi_multiset(n: int) -> Counter[int]:
     product included; as a multiset this equals f_valued_row(n).  The last
     row of pi_rows(n).
     """
-    return deque(pi_rows(n), maxlen=1)[0][1]  # the walk's guard runs here, at the call
+    return deque(pi_rows(n), maxlen=1)[0][1]

@@ -31,7 +31,7 @@ def run():
 WORK = {
     core: ["Row"],
     fstat: ["_chains", "_factor"],
-    macdonald: ["_branch", "Counter"],
+    macdonald: ["_branch", "_grown"],
     residues: ["_row_factors", "_dlog", "_fold"],
     primes: ["row_size"],
 }

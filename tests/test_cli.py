@@ -349,16 +349,18 @@ def test_verify_oracle_counts_each_word_once(run, monkeypatch):
 
 
 def test_verify_coprime_word_guard_boundary(run, monkeypatch):
-    # 5 primes over rows 0..24 walk 5 * 196417 = 982085 <= 2^20 words, 6 walk 1178502
+    # rows 0..24 hold 3562 heads and tails: 1177 primes read 4192474 <= 2^22 of them, 1178 read 4196036
     def reached(n):
         raise ValueError(f"reached row {n}")
 
     monkeypatch.setattr(fstat, "f_blocks", reached)  # the row source of verify coprime
-    for count, verdict in ((5, "reached row 0"), (6, "6 primes over rows 0..24 walk 1178502 words, over the guard of 1048576")):
-        primes_argv = [arg for p in (2, 3, 5, 7, 11, 13)[:count] for arg in ("-p", str(p))]
+    first = [p for p in range(2, 10000) if primes.is_prime(p)][:1178]
+    refusal = "1178 primes over rows 0..24 read 4196036 heads and tails, over the guard of 4194304"
+    for count, verdict in ((1177, "reached row 0"), (1178, refusal)):
+        primes_argv = [arg for p in first[:count] for arg in ("-p", str(p))]
         code, out, err = run("verify", "coprime", *primes_argv, "--max-n", "24")
         assert code == 1 and out == "" and err == f"error: {verdict}\n"
-    assert primes.COPRIME_MAX_WORDS == 1 << 20
+    assert primes.COPRIME_MAX_HEADS_AND_TAILS == 1 << 22
 
 
 def test_verify_max_rank_is_max_n(run):

@@ -98,6 +98,7 @@ CASES = [
     ("verify coprime --max-n 24 --format json", 0, "7f4d3d4936a529977ced250fb87f875e1fd0291b6e6629e448979ea4ee9197fc"),
     # one prime asked six times is priced once, under the guard: the digest of -p 3 --max-n 24
     ("verify coprime -p 3 -p 3 -p 3 -p 3 -p 3 -p 3 --max-n 24", 0, "7062fb62923182f00dd9248e4b55febf55f2c9ee56cfa92e64c19f0922f70a37"),
+    ("verify coprime -p 2 -p 3 -p 5 -p 7 -p 11 -p 13 -p 17 -p 19 --max-n 24", 0, "86414abfcae8179071d8d4fb7b7ad68949edbaf6ac0fefe85c969721bbd56210"),
     ("residues -n 24 -p 13", 0, "3ac0f2aa21f47ea40cae7d0c991e30e675ffdb0eb5bc0db1df7111457131f1fc"),
     ("enumerate -n 24 --filter coprime -p 7 --format csv", 0, "6f2420930390944e4d14177520fcb02340ef4b2d130a4951155c14ca0433bbea"),
     ("verify main -k 14 --n-extra 2 --format json", 0, "853fd9c3e2c0a7b16342300c4680b491ece8813bbe421eae1c719a5e6065ed60"),
@@ -138,8 +139,9 @@ REFUSED = [
     ("residues -n 4 -k 30", "guard of 20"),
     ("residues -n 5 -p 524309", "guard of 524288"),
     ("residues -n 3 -p 1000003", "guard of 524288"),
-    # verify coprime's words, F(max_n + 3) - 1 per prime: 2^20 at most
-    ("verify coprime -p 2 -p 3 -p 5 -p 7 -p 11 -p 13 -p 17 -p 19 --max-n 24", "guard of 1048576"),
+    # verify coprime's heads and tails, 3562 per distinct prime at --max-n 24: 2^22 at most, so 1177 primes;
+    # 1178 distinct values, refused for the price before 4 is found not prime
+    ("verify coprime --max-n 24" + "".join(f" -p {p}" for p in range(2, 1180)), "read 4196036 heads and tails, over the guard of 4194304"),
     # the DP's priced work
     ("verify main -k 15", DP_GUARD),
     ("residues -n 1000000000 -k 3", DP_GUARD),
@@ -205,7 +207,8 @@ def _digest(text):
 
 
 def _ids(table):
-    return [row[0] for row in table]
+    """Each row's command, a long one cut to its first 60 characters and its length."""
+    return [row[0] if len(row[0]) <= 100 else f"{row[0][:60]}... ({len(row[0])} characters)" for row in table]
 
 
 @pytest.mark.parametrize(("command", "code", "digest"), CASES, ids=_ids(CASES))

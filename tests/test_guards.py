@@ -3,8 +3,7 @@
 GUARDED rows are (function, args, message), and each call must raise
 ValueError with exactly that message under conftest.py's no_work.  This is
 the one place where a library refusal is tested.  Every function refuses at
-the call, except the two generator functions in LAZY, whose guard runs before
-their first product or fold and which are therefore read once.
+the call, the walks that make rows lazily included.
 """
 
 import pytest
@@ -15,8 +14,6 @@ NEGATIVE = "rank must be nonnegative"
 K0 = "modulus exponent must be at least 1, got 0"
 DP = "exceeds the guard of 274877906944"  # residues.DP_MAX_WORK, 2^38
 PSP = 318665857834031151167461  # primes._WITNESS_BOUND
-
-LAZY = {residues.pi_rows, macdonald.f_valued_rows}
 
 GUARDED = [
     (core.parse_word, ("21x1",), "invalid digit 'x' at position 3: words use only digits 1 and 2"),
@@ -37,6 +34,7 @@ GUARDED = [
     (macdonald.build_tree, (-1,), NEGATIVE),
     (macdonald.macdonald_children, ("21",), "21 is not an odd word"),
     (macdonald.f_valued_rows, (41,), "rank 41 exceeds the guard of 40"),
+    (macdonald.f_valued_rows, (-1,), NEGATIVE),
     (macdonald.f_valued_row, (41,), "rank 41 exceeds the guard of 40"),
     (macdonald.verify_pi_row, (41,), "rank 41 exceeds the guard of 40"),
     # histograms mod 2^k: the modulus exponent first, then the rank and the DP's work
@@ -56,6 +54,7 @@ GUARDED = [
     (residues.verify_one_step, (3, -1), "n_max must be nonnegative"),
     (residues.verify_one_step, (1, 1 << 21), f"DP work 25563657011200 for rows 0..2097153 mod 2^1 {DP}"),
     (residues.pi_rows, (41,), "rank 41 exceeds the guard of 40"),
+    (residues.pi_rows, (-1,), NEGATIVE),
     (residues.pi_multiset, (-1,), NEGATIVE),
     (residues.pi_multiset, (41,), "rank 41 exceeds the guard of 40"),
     # primes, and the counts over them
@@ -71,9 +70,9 @@ GUARDED = [
     (primes.residue_distribution_mod_p, (3, 2), "p must be an odd prime; modulus 2 is covered by the power-of-two histograms"),
     (primes.residue_distribution_mod_p, (3, 1000003), "modulus 1000003 needs 1000002 buckets, over the guard of 524288"),
     (primes.residue_distribution_mod_p, (25, 3), "rank 25 exceeds the guard of 24"),
-    # verify_coprime: the rank, then the price of its words, then every prime
+    # verify_coprime: the rank, then the price of its heads and tails (3562 per prime at 24), then every prime
     (primes.verify_coprime, (25, (4,)), "rank 25 exceeds the guard of 24"),
-    (primes.verify_coprime, (24, (2, 3, 5, 7, 11, 13)), "6 primes over rows 0..24 walk 1178502 words, over the guard of 1048576"),
+    (primes.verify_coprime, (24, range(2, 1180)), "1178 primes over rows 0..24 read 4196036 heads and tails, over the guard of 4194304"),
     (primes.verify_coprime, (3, (3, 4)), "4 is not prime"),
 ]
 
@@ -90,7 +89,22 @@ def _shown(arg):
 )
 def test_refused_before_any_work(no_work, function, args, message):
     with pytest.raises(ValueError) as refusal:
-        result = function(*args)
-        if function in LAZY:
-            next(result)
+        function(*args)
     assert str(refusal.value) == message
+
+
+WALKS = [(residues.pi_rows, residues, "_doubled"), (macdonald.f_valued_rows, macdonald, "_grown")]
+
+
+@pytest.mark.parametrize(("walk", "module", "step"), WALKS, ids=[walk.__name__ for walk, _, _ in WALKS])
+def test_walks_guard_at_the_call_and_work_when_read(monkeypatch, walk, module, step):
+    """The guard is eager and the rows are lazy: row 0 is the walk's seed, and row 1 is the first step."""
+
+    def stepped(*args):
+        raise AssertionError(f"{step} ran")
+
+    monkeypatch.setattr(module, step, stepped)
+    rows = walk(6)
+    assert next(rows) == (0, {1: 1})
+    with pytest.raises(AssertionError, match=f"{step} ran"):
+        next(rows)

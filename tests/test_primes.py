@@ -1,4 +1,5 @@
 from collections import Counter
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -166,3 +167,39 @@ def test_residue_distribution_keys_and_mass(n, p):
     h = residue_distribution_mod_p(n, p)
     assert list(h) == list(range(1, p))
     assert sum(h.values()) == coprime_count(p, n)
+
+
+def test_verify_coprime_default_primes_only_for_none():
+    # None selects 2, 3, 5, 7; an empty list, as an empty iterator, selects no prime
+    assert [r["p"] for r in primes.verify_coprime(2)] == [2, 2, 2, 3, 3, 3, 5, 5, 5, 7, 7, 7]
+    assert primes.verify_coprime(2, []) == primes.verify_coprime(2, iter([])) == []
+
+
+@given(st.integers(0, 12), st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=6, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_verify_coprime_price_is_the_heads_and_tails_it_reads(max_n, ps):
+    # every head goes through splits once and every tail through is_coprime_structural, which calls splits
+    calls = Counter()
+    splits, structural = primes.splits, primes.is_coprime_structural
+
+    def counted_splits(w, cut, p):
+        calls["splits"] += 1
+        return splits(w, cut, p)
+
+    def counted_structural(w, p):
+        calls["tails"] += 1
+        return structural(w, p)
+
+    with mock.patch.object(primes, "splits", counted_splits):
+        with mock.patch.object(primes, "is_coprime_structural", counted_structural):
+            primes.verify_coprime(max_n, ps)
+    tails = sum(primes.row_size(n // 2 + 1) for n in range(max_n + 1))
+    heads = sum(primes.row_size(n - n // 2 + 1) for n in range(max_n + 1))
+    assert (calls["tails"], calls["splits"] - calls["tails"]) == (len(ps) * tails, len(ps) * heads)
+    # the guard prices exactly that count: one under it is refused, naming it
+    read = calls["splits"]
+    with mock.patch.object(primes, "COPRIME_MAX_HEADS_AND_TAILS", read - 1):
+        with pytest.raises(ValueError, match=f" read {read} heads and tails, over the guard of {read - 1}$"):
+            primes.verify_coprime(max_n, ps)
+    with mock.patch.object(primes, "COPRIME_MAX_HEADS_AND_TAILS", read):
+        assert len(primes.verify_coprime(max_n, ps)) == len(ps) * (max_n + 1)

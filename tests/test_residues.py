@@ -102,6 +102,9 @@ def test_is_equidistributed():
     # one bucket off, last or first: the scan reads every count
     assert not is_equidistributed({1: 2, 3: 2, 5: 2, 7: 3})
     assert not is_equidistributed({1: 3, 3: 2, 5: 2, 7: 2})
+    # no class differs in an empty histogram; inside a generator a bare StopIteration would be a RuntimeError
+    assert is_equidistributed({})
+    assert list(is_equidistributed(h) for h in ({}, {1: 1, 3: 2}, {})) == [True, False, True]
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=12), st.booleans())
